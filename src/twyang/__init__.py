@@ -2,8 +2,6 @@
 for twisted Yangians of types B, C and D."""
 
 from .exact import (
-    BiPoly,
-    BiRatFunc,
     Poly,
     RatFunc,
     Sqrt2,

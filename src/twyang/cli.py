@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -50,13 +49,6 @@ from .rkmat import PairType, Report, pair, verify_k_matrix, verify_r_matrix
 PASS, FAIL, CONFIG, INCONCLUSIVE_EXIT = 0, 1, 2, 3
 
 _FAMILIES = {"glN": "gl", "gl": "gl", "gN": None, "so": "orthogonal", "sp": "symplectic"}
-
-
-def trunc_order(default=12) -> int:
-    from .exact import default_series_order
-
-    env = os.environ.get("TWYANG_TRUNC_ORDER")
-    return int(env) if env else (default if default != 12 else default_series_order())
 
 
 def _print_report(rep: Report, as_json: bool) -> None:

@@ -1,17 +1,17 @@
 """Exact scalar, polynomial, rational-function and truncated-series arithmetic.
 
 Everything is built on arbitrary-precision rationals (fractions.Fraction).
-The variable of univariate polynomials is always "u"; bivariate polynomials
-live in (u, v).  A small quadratic extension Q(sqrt 2) is provided for the
-one construction that genuinely needs sqrt(2); all arithmetic classes are
-duck-typed over their coefficients so Fraction and Sqrt2 mix freely.
+The variable of polynomials is always "u".  A small quadratic extension
+Q(sqrt 2) is provided for the one construction that genuinely needs sqrt(2);
+all arithmetic classes are duck-typed over their coefficients so Fraction and
+Sqrt2 mix freely.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 
 def default_series_order() -> int:
@@ -564,175 +564,3 @@ def factor_shifted_square(h: TruncSeries, a) -> TruncSeries:
                 s = s + k[r] * k[j] * binw(j, t) * a**t
         k[m] = (h.coeffs[m] - s) / 2
     return TruncSeries(k)
-
-
-class BiPoly:
-    """Bivariate polynomial in (u, v), stored as {(deg_u, deg_v): coeff}."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for k, c in terms.items():
-                if not _is_zero(c):
-                    t[k] = c if isinstance(c, (Fraction, Sqrt2)) else frac(c)
-        self.terms = t
-
-    @staticmethod
-    def constant(c):
-        return BiPoly({(0, 0): frac(c)})
-
-    @staticmethod
-    def of(x):
-        if isinstance(x, BiPoly):
-            return x
-        if isinstance(x, Poly):
-            return BiPoly({(k, 0): c for k, c in enumerate(x.coeffs)})
-        return BiPoly.constant(frac(x))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (BiPoly, Poly, int, Fraction, Sqrt2)):
-            return self.terms == BiPoly.of(other).terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        o = BiPoly.of(other)
-        t = dict(self.terms)
-        for k, c in o.terms.items():
-            s = t.get(k, Fraction(0)) + c
-            if _is_zero(s):
-                t.pop(k, None)
-            else:
-                t[k] = s
-        return BiPoly(t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-BiPoly.of(other))
-
-    def __rsub__(self, other):
-        return BiPoly.of(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Sqrt2)):
-            return BiPoly({k: c * other for k, c in self.terms.items()})
-        o = BiPoly.of(other)
-        t = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in o.terms.items():
-                k = (i1 + i2, j1 + j2)
-                s = t.get(k, Fraction(0)) + c1 * c2
-                if _is_zero(s):
-                    t.pop(k, None)
-                else:
-                    t[k] = s
-        return BiPoly(t)
-
-    __rmul__ = __mul__
-
-    def eval(self, x, y):
-        s = Fraction(0)
-        for (i, j), c in self.terms.items():
-            s = s + c * x**i * y**j
-        return s
-
-    def content(self):
-        """Positive rational content (gcd of coefficients); zero poly -> 0."""
-        num_g, den_l = 0, 1
-        for c in self.terms.values():
-            if isinstance(c, Sqrt2):
-                return Fraction(1)  # content reduction only over Q
-            num_g = num_g if not c else gcd(num_g, abs(c.numerator))
-            den_l = den_l * c.denominator // gcd(den_l, c.denominator)
-        return Fraction(num_g, den_l) if num_g else Fraction(0)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j), c in sorted(self.terms.items()):
-            mon = "".join([f"u^{i}" if i else "", f"v^{j}" if j else ""]) or "1"
-            parts.append(f"{c}*{mon}")
-        return " + ".join(parts)
-
-
-def poly_in_linear_form(p: Poly, cu, cv, c0) -> BiPoly:
-    """P(cu*u + cv*v + c0) as a bivariate polynomial."""
-    arg = BiPoly({(1, 0): frac(cu), (0, 1): frac(cv), (0, 0): frac(c0)})
-    acc = BiPoly()
-    for c in reversed(p.coeffs):
-        acc = acc * arg + BiPoly.constant(c)
-    return acc
-
-
-class BiRatFunc:
-    """Fraction of bivariate polynomials, reduced by rational content only."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = BiPoly.of(num)
-        den = BiPoly.of(den) if den is not None else BiPoly.constant(1)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        cn, cd = num.content(), den.content()
-        if cn and cd:
-            g = Fraction(
-                gcd(cn.numerator, cd.numerator),
-                (cn.denominator * cd.denominator) // gcd(cn.denominator, cd.denominator),
-            )
-            if g and g != 1:
-                num, den = num * (1 / g), den * (1 / g)
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def of(x):
-        if isinstance(x, BiRatFunc):
-            return x
-        return BiRatFunc(BiPoly.of(x))
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        o = BiRatFunc.of(other)
-        return self.num * o.den == o.num * self.den
-
-    def __add__(self, other):
-        o = BiRatFunc.of(other)
-        return BiRatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiRatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-BiRatFunc.of(other))
-
-    def __mul__(self, other):
-        o = BiRatFunc.of(other)
-        return BiRatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = BiRatFunc.of(other)
-        if not o.num:
-            raise ZeroDivisionError
-        return BiRatFunc(self.num * o.den, self.den * o.num)
-
-    def __repr__(self):
-        return f"({self.num})/({self.den})"

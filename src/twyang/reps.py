@@ -45,12 +45,6 @@ def _rf_zeros(d):
     return m
 
 
-def _num_zeros(d):
-    m = np.empty((d, d), dtype=object)
-    m[:] = Fraction(0)
-    return m
-
-
 class OperatorMatrix:
     """Common storage for S/T-matrices acting on a d-dimensional space."""
 
@@ -67,31 +61,7 @@ class OperatorMatrix:
 
     def cleared(self) -> ClearedS:
         if self._cleared is None:
-            den = P_ONE
-            for m in self.s.values():
-                for x in m.flat:
-                    den = den.lcm(x.den)
-            num = {}
-            slots = den.degree + 1 + max(
-                (max((x.num.degree - x.den.degree for x in m.flat), default=0))
-                for m in self.s.values()
-            ) if self.s else 1
-            for key, m in self.s.items():
-                arrays = [_num_zeros(self.dim) for _ in range(slots)]
-                nz = False
-                for r in range(self.dim):
-                    for c in range(self.dim):
-                        x = m[r, c]
-                        if not x:
-                            continue
-                        p = x.num * (den // x.den)
-                        for k, co in enumerate(p.coeffs):
-                            if co:
-                                arrays[k][r, c] = co
-                                nz = True
-                if nz:
-                    num[key] = arrays
-            self._cleared = ClearedS(self.labels, self.family, self.dim, den, num)
+            self._cleared = ClearedS.of(self.labels, self.family, self.dim, self.s)
         return self._cleared
 
     def map_entries(self, f):

@@ -7,11 +7,12 @@ bookkeeping).  DI(b) has a non-diagonal G matrix and is rejected outright.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import P_ONE, Poly, RatFunc, frac, poly, poly_in_linear_form
+import numpy as np
+
+from .exact import P_ONE, RF_ZERO, Poly, RatFunc, frac, poly
 from .tensors import (
     ORTHOGONAL,
     SYMPLECTIC,
@@ -19,9 +20,8 @@ from .tensors import (
     LabeledMatrix,
     op_P,
     op_Q,
-    place_on_legs,
-    theta,
 )
+from .verify import ClearedS, Report, check_relation
 
 GL = "gl"
 
@@ -264,131 +264,47 @@ def k_one_param(pt: PairType, a) -> LabeledMatrix:
 
 
 # ---------------------------------------------------------------------------
-# report plumbing
+# exact identity checks (the relations of the form A X1 B X2 run on verify's engine)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Report:
-    name: str
-    passed: bool = True
-    witnesses: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-
-    def fail(self, witness):
-        self.passed = False
-        self.witnesses.append(witness)
-
-    def merge(self, other: "Report"):
-        self.passed = self.passed and other.passed
-        self.witnesses.extend((other.name, w) for w in other.witnesses)
-        self.details[other.name] = {"passed": other.passed, **other.details}
-        return self
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "witnesses": [repr(w) for w in self.witnesses[:12]],
-            "details": {
-                k: (v if not isinstance(v, Report) else v.as_dict())
-                for k, v in self.details.items()
-            },
-        }
-
-    def __str__(self):
-        head = f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"
-        if not self.passed and self.witnesses:
-            head += f"  ({len(self.witnesses)} witness(es); first: {self.witnesses[0]})"
-        return head
-
-
-# ---------------------------------------------------------------------------
-# exact identity checks (denominators cleared, bivariate numerators compared)
-# ---------------------------------------------------------------------------
-
-
-def _clear_denominators(m: LabeledMatrix):
-    """Common-denominator form: returns (poly_matrix_entries, den) with
-    m = entries / den, entries a dict over Poly."""
-    den = P_ONE
-    for _, v in m.data.items():
-        den = den.lcm(v.den)
-    cleared = {}
-    for k, v in m.data.items():
-        cleared[k] = v.num * (den // v.den)
-    return cleared, den
-
-
-def _bivariate(m: LabeledMatrix, cu, cv, c0) -> LabeledMatrix:
-    """Substitute u -> cu*u + cv*v + c0 into a cleared polynomial matrix."""
-    out = LabeledMatrix(m.labels)
-    for k, v in m.data.items():
-        w = poly_in_linear_form(v, cu, cv, c0)
-        if w:
-            out.data[k] = w
-    return out
-
-
-def _poly_matrix(m: LabeledMatrix):
-    cleared, den = _clear_denominators(m)
-    pm = LabeledMatrix(m.labels)
-    pm.data = cleared
-    return pm, den
+def _coeffs(m: LabeledMatrix, labels):
+    """The engine coefficients of m as an operator matrix over `labels`: a
+    one-leg K acts on C (dim 1), a two-leg R on leg (x) C^N, with
+    s_ij[k, l] = R[(i, k), (j, l)]."""
+    d = len(labels) if m.legs == 2 else 1
+    pos = {l: k for k, l in enumerate(labels)}
+    s = {}
+    for (r, c), v in m.data.items():
+        e = s.setdefault((r[0], c[0]), np.full((d, d), RF_ZERO, dtype=object))
+        e[(pos[r[1]], pos[c[1]]) if d > 1 else (0, 0)] = v
+    return ClearedS.of(labels, None, d, s).coeffs()
 
 
 def check_yang_baxter(R: LabeledMatrix) -> Report:
-    """R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u), exactly."""
-    rep = Report("yang-baxter")
-    pm, _ = _poly_matrix(R)
+    """R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u), exactly; checked as
+    R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v), with X = R on leg (x) C^N."""
     one_leg = sorted({l[0] for l in R.labels})
-    m_u = _bivariate(pm, 1, 0, 0)
-    m_uv = _bivariate(pm, 1, 1, 0)
-    m_v = _bivariate(pm, 0, 1, 0)
-    r12 = place_on_legs(m_u, (1, 2), 3, one_leg)
-    r13 = place_on_legs(m_uv, (1, 3), 3, one_leg)
-    r23 = place_on_legs(m_v, (2, 3), 3, one_leg)
-    lhs = r12 @ r13 @ r23
-    rhs = r23 @ r13 @ r12
-    diff = lhs - rhs
-    for k, v in diff.nonzero_items():
-        rep.fail((k, v))
-    return rep
-
-
-def _reflection_sides(R: LabeledMatrix, K: LabeledMatrix, twisted_family=None):
-    one_leg = sorted({l[0] for l in K.labels})
-    rp, _ = _poly_matrix(R)
-    kp, _ = _poly_matrix(K)
-    r_minus = _bivariate(rp, 1, -1, 0)  # R(u-v)
-    if twisted_family is None:
-        r_mid = _bivariate(rp, 1, 1, 0)  # R(u+v)
-    else:
-        rt = rp.partial_transpose(1, twisted_family)
-        r_mid = _bivariate(rt, -1, -1, 0)  # R^t(-u-v)
-    k1 = _bivariate(kp, 1, 0, 0).kron(LabeledMatrix.identity(one_leg, Fraction(1)))
-    k2 = LabeledMatrix.identity(one_leg, Fraction(1)).kron(_bivariate(kp, 0, 1, 0))
-    lhs = r_minus @ k1 @ r_mid @ k2
-    rhs = k2 @ r_mid @ k1 @ r_minus
-    return lhs, rhs
+    r = _coeffs(R, one_leg)
+    return check_relation("yang-baxter", one_leg, r, r,
+                          entry_labels=[(l,) for l in one_leg])
 
 
 def check_reflection(R: LabeledMatrix, K: LabeledMatrix) -> Report:
     """R(u-v) K1(u) R(u+v) K2(v) = K2(v) R(u+v) K1(u) R(u-v), exactly."""
-    rep = Report("reflection")
-    lhs, rhs = _reflection_sides(R, K)
-    for k, v in (lhs - rhs).nonzero_items():
-        rep.fail((k, v))
-    return rep
+    one_leg = sorted({l[0] for l in K.labels})
+    r = _coeffs(R, one_leg)
+    return check_relation("reflection", one_leg, r, _coeffs(K, one_leg), r,
+                          entry_labels=[()])
 
 
 def check_twisted_reflection(R: LabeledMatrix, K: LabeledMatrix, family: str) -> Report:
     """R(u-v) K1(u) R^t(-u-v) K2(v) = K2(v) R^t(-u-v) K1(u) R(u-v), exactly."""
-    rep = Report("twisted-reflection")
-    lhs, rhs = _reflection_sides(R, K, twisted_family=family)
-    for k, v in (lhs - rhs).nonzero_items():
-        rep.fail((k, v))
-    return rep
+    one_leg = sorted({l[0] for l in K.labels})
+    rt = R.partial_transpose(1, family).map_values(lambda v: v.reflect())
+    return check_relation("twisted-reflection", one_leg, _coeffs(R, one_leg),
+                          _coeffs(K, one_leg), _coeffs(rt, one_leg),
+                          entry_labels=[()])
 
 
 def check_unitarity(K: LabeledMatrix) -> Report:

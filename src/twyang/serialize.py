@@ -41,7 +41,10 @@ def _rf_json(f: RatFunc):
 
 
 def _rf_load(d) -> RatFunc:
-    return RatFunc(_poly_load(d["num"]), _poly_load(d["den"]), reduce=False)
+    den = _poly_load(d["den"])
+    if not den:
+        raise ValueError("rational function with zero denominator")
+    return RatFunc(_poly_load(d["num"]), den)
 
 
 def pair_json(pt: PairType):

@@ -3,7 +3,7 @@
 Rows and columns are labeled by the signed index set {-n..n} (0 present iff
 N is odd); multi-leg matrices carry tuples of signed indices.  Storage is a
 mapping {(row_label, col_label): value} with zeros omitted, so the entry
-ring is anything with +, -, * and truthiness (Fraction, RatFunc, BiPoly...).
+ring is anything with +, -, * and truthiness (Fraction, RatFunc...).
 """
 
 from __future__ import annotations

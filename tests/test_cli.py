@@ -82,14 +82,6 @@ def test_identity_failure_exit_code(tmp_path):
     assert main(["verify", "module", "--in", str(f)]) == 1
 
 
-def test_trunc_order_env(monkeypatch):
-    from twyang.cli import trunc_order
-
-    assert trunc_order() == 12
-    monkeypatch.setenv("TWYANG_TRUNC_ORDER", "20")
-    assert trunc_order() == 20
-
-
 def test_build_bridge(tmp_path):
     out = tmp_path / "b.json"
     assert main(["build", "bridge", "--variant", "so3", "--mu=-1/2",

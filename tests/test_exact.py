@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from twyang.exact import (
-    BiPoly,
-    BiRatFunc,
     Poly,
     RatFunc,
     Sqrt2,
     TruncSeries,
+    default_series_order,
     factor_shifted_square,
     frac,
     poly,
@@ -151,6 +150,13 @@ def test_series_long_division_oracle():
         assert list(got) == long_division_series(num, den, 6)
 
 
+def test_default_series_order_env(monkeypatch):
+    monkeypatch.delenv("TWYANG_TRUNC_ORDER", raising=False)
+    assert default_series_order() == 12
+    monkeypatch.setenv("TWYANG_TRUNC_ORDER", "20")
+    assert default_series_order() == 20
+
+
 def test_series_rejects_unbounded():
     with pytest.raises(ValueError):
         series_expand(rf((0, 0, 1), (1, 1)), 3)  # u^2/(u+1)
@@ -247,27 +253,8 @@ def test_linear_solve_inconsistent_marker():
 
 
 # ---------------------------------------------------------------------------
-# bivariate layer and Q(sqrt2)
+# Q(sqrt2)
 # ---------------------------------------------------------------------------
-
-
-def test_bipoly_arithmetic_matches_evaluation():
-    rng = random.Random(7)
-    for _ in range(15):
-        p = BiPoly({(rng.randint(0, 2), rng.randint(0, 2)): rand_rat(rng) for _ in range(4)})
-        q = BiPoly({(rng.randint(0, 2), rng.randint(0, 2)): rand_rat(rng) for _ in range(4)})
-        x, y = Fraction(3, 2), Fraction(-5, 3)
-        assert (p * q).eval(x, y) == p.eval(x, y) * q.eval(x, y)
-        assert (p + q).eval(x, y) == p.eval(x, y) + q.eval(x, y)
-
-
-def test_biratfunc_cross_multiplication_equality():
-    u = BiPoly({(1, 0): 1})
-    v = BiPoly({(0, 1): 1})
-    one = BiPoly.constant(1)
-    f = BiRatFunc(u * u - v * v, u - v)
-    g = BiRatFunc(u + v, one)
-    assert f == g
 
 
 def test_sqrt2_field():
