@@ -38,7 +38,7 @@ b = bridge_so3(om)
 e = eval_so3(mu)
 same = all(
     np.array_equal(b.op.entry(*k), e.op.entry(*k))
-    for k in set(b.op.s) | set(e.op.s)
+    for k in set(b.op.blocks) | set(e.op.blocks)
 )
 print("bridge equals the so_3 evaluation module entrywise:", same)
 
@@ -52,6 +52,6 @@ b = bridge_so4(
 e = eval_so4("DIII", mu1, mu2)
 same = all(
     np.array_equal(b.op.entry(*k), e.op.entry(*k))
-    for k in set(b.op.s) | set(e.op.s)
+    for k in set(b.op.blocks) | set(e.op.blocks)
 )
 print("so_4 DIII bridge equals the evaluation module entrywise:", same)

@@ -91,6 +91,21 @@ def intersect_kernels(list_of_matrices, dim):
     return kernel_basis(stacked)
 
 
+def left_inverse(basis):
+    """A rational r x dim matrix L with L B = I for the independent column
+    vectors B = [basis]: the inverse of r independent rows of B, zero elsewhere."""
+    r = len(basis)
+    rows = rref(basis)[1]  # pivot columns of B^T: rows of B that are independent
+    aug = [[basis[k][i] for k in range(r)] + [Fraction(int(t == s)) for t in range(r)]
+           for s, i in enumerate(rows)]
+    inv = [row[r:] for row in rref(aug)[0]]
+    L = [[Fraction(0)] * len(basis[0]) for _ in range(r)]
+    for c, i in enumerate(rows):
+        for k in range(r):
+            L[k][i] = inv[k][c]
+    return L
+
+
 def restrict_operator(op_rows, basis):
     """Matrix of an operator on the span of `basis`, or None if not invariant.
 

@@ -1,8 +1,11 @@
 """Concrete modules over twisted Yangians: construction and verification.
 
-A module stores, for each pair of signed indices (i, j), the d x d matrix of
-exact rational functions by which s_ij(u) acts.  All defining identities are
-checked as exact polynomial identities after clearing denominators.
+A module stores the matrix by which its S(u) (T(u), B(u)) acts as one
+`OperatorMatrix`: a monic denominator den(u) and, for each pair of signed
+indices (i, j) with s_ij(u) != 0, the d x d rational coefficient matrices of
+the numerator, with gcd(den, every numerator entry) = 1.  Substitutions
+u -> a u + b, tensor products, bridges and restrictions act on these
+coefficient arrays, and every defining identity is checked exactly on them.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from .liealg import (
 from .rkmat import PairType, Report, g_matrix, pair
 from .tensors import ORTHOGONAL, SYMPLECTIC, theta
 from .verify import (
-    ClearedS,
+    OperatorMatrix,
+    _convolve,
     check_mr_commutators,
     check_olshanskii_commutators,
     check_rtt_commutators,
@@ -37,35 +41,6 @@ from .verify import (
     scalar_product_with_reflected,
 )
 from . import linalg
-
-
-def _rf_zeros(d):
-    m = np.empty((d, d), dtype=object)
-    m[:] = RatFunc.of(0)
-    return m
-
-
-class OperatorMatrix:
-    """Common storage for S/T-matrices acting on a d-dimensional space."""
-
-    def __init__(self, labels, family, dim, s):
-        self.labels = list(labels)
-        self.family = family
-        self.dim = dim
-        self.s = {k: v for k, v in s.items() if v is not None}
-        self._cleared = None
-
-    def entry(self, i, j):
-        got = self.s.get((i, j))
-        return got if got is not None else _rf_zeros(self.dim)
-
-    def cleared(self) -> ClearedS:
-        if self._cleared is None:
-            self._cleared = ClearedS.of(self.labels, self.family, self.dim, self.s)
-        return self._cleared
-
-    def map_entries(self, f):
-        return {k: np.vectorize(f, otypes=[object])(m) for k, m in self.s.items()}
 
 
 @dataclass
@@ -77,9 +52,6 @@ class TwistedModule:
     @property
     def dim(self):
         return self.op.dim
-
-    def entry(self, i, j):
-        return self.op.entry(i, j)
 
 
 @dataclass
@@ -109,29 +81,20 @@ class OlshanskiiModule:
         return self.op.dim
 
 
-def _operator_matrix_from_entries(labels, family, dim, entries):
-    s = {}
-    for k, m in entries.items():
-        if m is not None and any(bool(x) for x in m.flat):
-            s[k] = m
-    return OperatorMatrix(labels, family, dim, s)
+def _lincomb(terms):
+    """sum_t p_t(u) c_t(u) for scalar polynomials p_t and coefficient arrays
+    c_t (coefficients along axis 0)."""
+    parts = [_convolve(np.array(p.coeffs, dtype=object), c, np.multiply)
+             for p, c in terms if p]
+    out = np.zeros_like(max(parts, key=len))
+    for x in parts:
+        out[: len(x)] += x
+    return out
 
 
 # ---------------------------------------------------------------------------
 # evaluation modules
 # ---------------------------------------------------------------------------
-
-
-def _rf_const_matrix(m):
-    return np.vectorize(lambda x: RatFunc.of(x), otypes=[object])(m)
-
-
-def _series_matrix(terms, dim):
-    """Sum of (RatFunc scalar, numpy matrix) products as a RatFunc matrix."""
-    out = _rf_zeros(dim)
-    for c, m in terms:
-        out = out + np.vectorize(lambda x: c * RatFunc.of(x), otypes=[object])(m)
-    return out
 
 
 def eval_sp2(variant: str, mu) -> TwistedModule:
@@ -153,17 +116,15 @@ def eval_sp2(variant: str, mu) -> TwistedModule:
     g = pt.g_diagonal()
     fp = lie.fprime(g)
     d = lie.dim
-    entries = {}
+    terms = {}
     for i in pt.labels():
         for j in pt.labels():
-            terms = []
-            if i == j:
-                terms.append((RatFunc.of(g[i]), _eye(d)))
+            ts = [(RatFunc.of(g[i]), _eye(d))] if i == j else []
             if (i, j) in fp:
-                terms.append((inv, fp[(i, j)]))
-            if terms:
-                entries[(i, j)] = _series_matrix(terms, d)
-    op = _operator_matrix_from_entries(pt.labels(), pt.family, d, entries)
+                ts.append((inv, fp[(i, j)]))
+            if ts:
+                terms[(i, j)] = ts
+    op = OperatorMatrix.from_terms(pt.labels(), pt.family, d, terms)
     return TwistedModule(pt, op, provenance=f"eval_sp2({variant}, mu={frac(mu)})")
 
 
@@ -186,27 +147,19 @@ def eval_so3(mu) -> TwistedModule:
     def fpm(i, j):
         return fp.get((i, j), _zeros(d))
 
-    entries = {}
+    terms = {}
     labs = pt.labels()
     for i in labs:
         for j in labs:
             fp2 = _zeros(d)
             for a in labs:
                 fp2 = fp2 + fpm(i, a) @ fpm(a, j)
-            inner = _series_matrix(
-                [
-                    (inv1, fpm(i, j)),
-                    (inv1 * inv1 * frac(1, 2), fp2 - 2 * fpm(i, j)),
-                ],
-                d,
-            )
+            ts = [(u_over * inv1, fpm(i, j)),
+                  (u_over * inv1 * inv1 * frac(1, 2), fp2 - 2 * fpm(i, j))]
             if i == j:
-                inner = inner + _series_matrix([(-inv1 * inv1 * omega_u, om)], d)
-            m = np.vectorize(lambda x: u_over * x, otypes=[object])(inner)
-            if i == j:
-                m = m + _rf_const_matrix(_eye(d))
-            entries[(i, j)] = m
-    op = _operator_matrix_from_entries(labs, pt.family, d, entries)
+                ts += [(-u_over * inv1 * inv1 * omega_u, om), (RatFunc.of(1), _eye(d))]
+            terms[(i, j)] = ts
+    op = OperatorMatrix.from_terms(labs, pt.family, d, terms)
     return TwistedModule(pt, op, provenance=f"eval_so3(mu={frac(mu)})")
 
 
@@ -234,37 +187,27 @@ def eval_so4(variant: str, mu1, mu2) -> TwistedModule:
     def fpm(i, j):
         return fp.get((i, j), _zeros(d))
 
-    entries = {}
-    if variant == "D0":
-        inv = RatFunc(P_ONE, poly(-1, 1))
-        for i in labs:
-            for j in labs:
-                fp2 = _zeros(d)
-                for a in labs:
-                    fp2 = fp2 + fpm(i, a) @ fpm(a, j)
+    inv = RatFunc(P_ONE, poly(-1, 1))
+    inv_u = RatFunc(P_ONE, poly(0, 1))
+    inv_uu1 = RatFunc(P_ONE, poly(0, -1, 1))  # 1/(u(u-1))
+    terms = {}
+    for i in labs:
+        for j in labs:
+            fp2 = _zeros(d)
+            for a in labs:
+                fp2 = fp2 + fpm(i, a) @ fpm(a, j)
+            if variant == "D0":
                 quad = fp2 - 2 * fpm(i, j) - (2 * cas if i == j else _zeros(d))
-                m = _series_matrix(
-                    [(inv, fpm(i, j)), (inv * inv * frac(1, 2), quad)], d
-                )
-                if i == j:
-                    m = m + _rf_const_matrix(_eye(d))
-                entries[(i, j)] = m
-    else:
-        inv_u = RatFunc(P_ONE, poly(0, 1))
-        inv_uu1 = RatFunc(P_ONE, poly(0, -1, 1))  # 1/(u(u-1))
-        for i in labs:
-            for j in labs:
-                fp2 = _zeros(d)
-                for a in labs:
-                    fp2 = fp2 + fpm(i, a) @ fpm(a, j)
+                ts = [(inv, fpm(i, j)), (inv * inv * frac(1, 2), quad)]
+                gi = 1
+            else:
                 quad = fp2 - (2 * cas if i == j else _zeros(d))
-                m = _series_matrix(
-                    [(inv_u, fpm(i, j)), (inv_uu1 * frac(g[i], 2), quad)], d
-                )
-                if i == j:
-                    m = m + _rf_const_matrix(g[i] * _eye(d))
-                entries[(i, j)] = m
-    op = _operator_matrix_from_entries(labs, pt.family, d, entries)
+                ts = [(inv_u, fpm(i, j)), (inv_uu1 * frac(g[i], 2), quad)]
+                gi = g[i]
+            if i == j:
+                ts.append((RatFunc.of(gi), _eye(d)))
+            terms[(i, j)] = ts
+    op = OperatorMatrix.from_terms(labs, pt.family, d, terms)
     return TwistedModule(
         pt, op, provenance=f"eval_so4({variant}, mu=({frac(mu1)},{frac(mu2)}))"
     )
@@ -275,15 +218,13 @@ def onedim_module(pt: PairType, a=None) -> TwistedModule:
     if a is not None and pt.tag not in ("CI", "DIII"):
         raise ValueError("the parameter a exists for CI and DIII only")
     gm = g_matrix(pt)
-    entries = {}
+    terms = {}
     for l in pt.labels():
         v = gm[((l,), (l,))]
         if a is not None:
             v = v + RatFunc(Poly.constant(frac(a)), poly(0, 1))
-        m = np.empty((1, 1), dtype=object)
-        m[0, 0] = v
-        entries[(l, l)] = m
-    op = _operator_matrix_from_entries(pt.labels(), pt.family, 1, entries)
+        terms[(l, l)] = [(v, _eye(1))]
+    op = OperatorMatrix.from_terms(pt.labels(), pt.family, 1, terms)
     return TwistedModule(pt, op, provenance=f"onedim({pt}, a={a})")
 
 
@@ -305,43 +246,27 @@ def olshanskii_eval(sign: int, lie) -> OlshanskiiModule:
         d, F = lie.dim, lie.F
     else:
         d, F = lie
-    den = poly(Fraction(sign, 2), 1)  # u +- 1/2
-    inv = RatFunc(P_ONE, den)
+    inv = RatFunc(P_ONE, poly(Fraction(sign, 2), 1))  # 1/(u +- 1/2)
     labs = [-1, 1]
-    entries = {}
+    terms = {}
     for i in labs:
         for j in labs:
-            terms = []
-            if i == j:
-                terms.append((RatFunc.of(1), _eye(d)))
+            ts = [(RatFunc.of(1), _eye(d))] if i == j else []
             if (i, j) in F:
-                terms.append((inv, F[(i, j)]))
-            if terms:
-                entries[(i, j)] = _series_matrix(terms, d)
+                ts.append((inv, F[(i, j)]))
+            if ts:
+                terms[(i, j)] = ts
     fam = ORTHOGONAL if sign == 1 else SYMPLECTIC
-    op = _operator_matrix_from_entries(labs, fam, d, entries)
+    op = OperatorMatrix.from_terms(labs, fam, d, terms)
     return OlshanskiiModule(sign, op, provenance=f"olshanskii_eval(sign={sign:+d})")
 
 
 def verify_olshanskii(m: OlshanskiiModule) -> Report:
-    """Defining commutator relations and the symmetry relation of Y+-(2)."""
+    """Defining commutator relations and the symmetry relation of Y+-(2):
+    theta_ij s_{-j,-i}(u) = s_ij(-u) +- (s_ij(u) - s_ij(-u))/(2u)."""
     rep = Report(f"olshanskii {m.provenance}")
-    cs = m.op.cleared()
-    rep.merge(check_olshanskii_commutators(cs))
-    sym = Report("olshanskii-symmetry")
-    for i in (-1, 1):
-        for j in (-1, 1):
-            th = theta(m.op.family, i, j)
-            lhs = np.vectorize(lambda x: RatFunc.of(th) * x, otypes=[object])(
-                m.op.entry(-j, -i)
-            )
-            s_u = m.op.entry(i, j)
-            s_neg = np.vectorize(lambda x: x.reflect(), otypes=[object])(s_u)
-            inv2u = RatFunc(Poly.constant(frac(m.sign)), poly(0, 2))
-            rhs = s_neg + np.vectorize(lambda x: inv2u * x, otypes=[object])(s_u - s_neg)
-            if any(bool(x) for x in (lhs - rhs).flat):
-                sym.fail(((i, j), "symmetry relation violated"))
-    rep.merge(sym)
+    rep.merge(check_olshanskii_commutators(m.op))
+    rep.merge(_symmetry_report("olshanskii-symmetry", m.op, 0, 1, m.sign))
     return rep
 
 
@@ -350,28 +275,21 @@ def sklyanin_det2(m: OlshanskiiModule):
     rep = Report("sklyanin-det")
     pm = m.sign
     pref = RatFunc(poly(1, 2), poly(pm, 2))  # (2u+1)/(2u +- 1)
-
-    def sub(e, a, b):
-        return np.vectorize(lambda x: x.substitute_affine(a, b), otypes=[object])(e)
-
-    s = m.op.entry
-    line1 = sub(s(-1, -1), 1, -1) @ sub(s(-1, -1), -1, 0) - pm * (
-        sub(s(-1, 1), 1, -1) @ sub(s(1, -1), -1, 0)
-    )
-    line2 = sub(s(1, 1), -1, 0) @ sub(s(1, 1), 1, -1) - pm * (
-        sub(s(1, -1), -1, 0) @ sub(s(-1, 1), 1, -1)
-    )
-    if any(bool(x) for x in (line1 - line2).flat):
+    s1 = m.op.substitute(1, -1)  # S(u-1)
+    s2 = m.op.substitute(-1, 0)  # S(-u)
+    # both lines over the denominator den1(u) den2(u)
+    line1 = (_convolve(s1.block(-1, -1), s2.block(-1, -1))
+             - pm * _convolve(s1.block(-1, 1), s2.block(1, -1)))
+    line2 = (_convolve(s2.block(1, 1), s1.block(1, 1))
+             - pm * _convolve(s2.block(1, -1), s1.block(-1, 1)))
+    if not np.array_equal(line1, line2):
         rep.fail(("sdet", "the two expressions for sdet differ"))
         return None, rep
-    d = m.dim
-    c = line1[0, 0]
-    for r in range(d):
-        for q in range(d):
-            if (r == q and line1[r, q] != c) or (r != q and line1[r, q]):
-                rep.fail(("sdet", "sdet is not a scalar operator"))
-                return None, rep
-    return pref * c, rep
+    c = line1[:, 0, 0]
+    if not np.array_equal(line1, np.multiply.outer(c, np.eye(m.dim, dtype=object))):
+        rep.fail(("sdet", "sdet is not a scalar operator"))
+        return None, rep
+    return pref * RatFunc(Poly(c), s1.den * s2.den), rep
 
 
 # ---------------------------------------------------------------------------
@@ -398,40 +316,30 @@ def bridge_sp2(variant: str, m: OlshanskiiModule) -> TwistedModule:
     else:
         raise ValueError("variant must be C0 or CI")
     half = Fraction(1, 2)
-    entries = {}
-    for i in (-1, 1):
-        for j in (-1, 1):
-            e = m.op.s.get((i, j))
-            if e is None:
-                continue
-            e = np.vectorize(lambda x: x.substitute_affine(half, -half), otypes=[object])(e)
-            if variant == "CI":
-                e = K2x2[(j, j)] * e
-            entries[(i, j)] = e
-    op = _operator_matrix_from_entries([-1, 1], SYMPLECTIC, m.dim, entries)
+    s = m.op.substitute(half, -half)
+    blocks = {(i, j): (K2x2[(j, j)] if variant == "CI" else 1) * c
+              for (i, j), c in s.blocks.items()}
+    op = OperatorMatrix([-1, 1], SYMPLECTIC, m.dim, s.den, blocks)
     return TwistedModule(pt, op, provenance=f"bridge_sp2({variant}) of {m.provenance}")
 
 
-def _aux_matmul(A, B):
-    """Multiply operator-valued aux matrices stored as {(r,c): d x d RatFunc}."""
-    out = {}
-    for (r, k), a in A.items():
-        for (k2, c), b in B.items():
-            if k != k2:
-                continue
-            p = a @ b
-            key = (r, c)
-            out[key] = p if key not in out else out[key] + p
+def _aux_product(*factors):
+    """Product of aux matrices with operator-valued entries {(row, col):
+    coefficient array}, over the nonzero entries only."""
+    out = factors[0]
+    for f in factors[1:]:
+        acc = {}
+        for (r, k), a in out.items():
+            for (k2, c), b in f.items():
+                if k == k2:
+                    p = _convolve(a, b)
+                    acc[(r, c)] = p if (r, c) not in acc else acc[(r, c)] + p
+        out = acc
     return out
 
 
-def _scalar_aux(entries_scalar, dim):
-    """Lift a {(r,c): RatFunc} aux matrix to operator-valued (scalar * Id)."""
-    out = {}
-    eye = _rf_const_matrix(_eye(dim))
-    for k, c in entries_scalar.items():
-        out[k] = np.vectorize(lambda x, c=c: c * x, otypes=[object])(eye)
-    return out
+def _rational(x):
+    return x.rational() if isinstance(x, Sqrt2) and x.is_rational else x
 
 
 def bridge_so3(m: OlshanskiiModule) -> TwistedModule:
@@ -441,88 +349,47 @@ def bridge_so3(m: OlshanskiiModule) -> TwistedModule:
 
     restricted to the symmetric square of C^2 with the orthonormal basis
     (v_{-1}, v_0, v_1), v_0 = (e_{-1} x e_1 + e_1 x e_{-1}) / sqrt(2).
-    Entries are coerced back to Q when they are rational.
+    Coefficients are coerced back to Q when they are rational.
     """
     if m.sign != -1:
         raise ValueError("the so_3 bridge takes a Y-(2) module")
     d = m.dim
     aux = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-    # (1/2) R(-1) = (I + P)/2
-    proj = {}
+    eye = _eye(d)
+    # (1/2) R(-1) = (I + P)/2 and (4u - 1) R(-4u+1)^{t-} = (4u - 1) I + Q_-,
+    # their entries as multiples of the identity on V
+    proj, rt = {}, {}
     for a, b in aux:
-        proj[((a, b), (a, b))] = RatFunc.of(frac(1, 2))
-        key = ((a, b), (b, a))
-        proj[key] = proj.get(key, RatFunc.of(0)) + RatFunc.of(frac(1, 2))
-    # R(-4u+1)^{t-} = I + Q_-/(4u - 1)
-    rt = {((a, b), (a, b)): RatFunc.of(1) for a, b in aux}
-    inv = RatFunc(P_ONE, poly(frac(-1, 4), 1)) * frac(1, 4)  # 1/(4u-1)
+        for key in (((a, b), (a, b)), ((a, b), (b, a))):
+            proj[key] = proj.get(key, 0) + eye[None] / 2
+        rt[((a, b), (a, b))] = np.stack([-eye, 4 * eye])
     for a in (-1, 1):
         for c in (-1, 1):
-            th = theta(SYMPLECTIC, a, c)
             key = ((a, -a), (c, -c))
-            rt[key] = rt.get(key, RatFunc.of(0)) + th * inv
-    s1 = {}
-    s2 = {}
-    for (i, j), e in m.op.s.items():
-        e1 = np.vectorize(lambda x: x.substitute_affine(2, -1), otypes=[object])(e)
-        e2 = np.vectorize(lambda x: x.substitute_affine(2, 0), otypes=[object])(e)
-        for b in (-1, 1):
-            s1[((i, b), (j, b))] = e1
-        for a in (-1, 1):
-            s2[((a, i), (a, j))] = e2
-    M = _aux_matmul(_scalar_aux(proj, d), s1)
-    M = _aux_matmul(M, _scalar_aux(rt, d))
-    M = _aux_matmul(M, s2)
-
-    def comp(r, c):
-        got = M.get((r, c))
-        return got if got is not None else _rf_zeros(d)
-
-    sq2 = RatFunc.of(Sqrt2(0, 1))
-    cols = {
-        -1: [(RatFunc.of(1), (-1, -1))],
-        0: [(1 / sq2, (-1, 1)), (1 / sq2, (1, -1))],
-        1: [(RatFunc.of(-1), (1, 1))],
-    }
-    entries = {}
-    for j in (-1, 0, 1):
-        img = {r: _rf_zeros(d) for r in aux}
-        for cscale, c in cols[j]:
-            for r in aux:
-                img[r] = img[r] + np.vectorize(
-                    lambda x, s=cscale: s * x, otypes=[object]
-                )(comp(r, c))
-        if any(bool(x) for x in (img[(-1, 1)] - img[(1, -1)]).flat):
+            rt[key] = rt.get(key, 0) + np.stack([theta(SYMPLECTIC, a, c) * eye, 0 * eye])
+    s1, s2 = m.op.substitute(2, -1), m.op.substitute(2, 0)
+    M = _aux_product(
+        proj,
+        {((i, b), (j, b)): c for (i, j), c in s1.blocks.items() for b in (-1, 1)},
+        rt,
+        {((a, i), (a, j)): c for (i, j), c in s2.blocks.items() for a in (-1, 1)},
+    )
+    zero = 0 * next(iter(M.values()))
+    r2 = Sqrt2(0, 1)
+    cols = {-1: [(1, (-1, -1))], 0: [(1 / r2, (-1, 1)), (1 / r2, (1, -1))], 1: [(-1, (1, 1))]}
+    blocks = {}
+    for j, col in cols.items():
+        img = {r: sum((M.get((r, c), zero) * x for x, c in col), zero) for r in aux}
+        if not np.array_equal(img[(-1, 1)], img[(1, -1)]):
             raise AssertionError("image of the so_3 bridge left the symmetric square")
-        entries[(-1, j)] = img[(-1, -1)]
-        entries[(0, j)] = np.vectorize(lambda x: sq2 * x, otypes=[object])(img[(-1, 1)])
-        entries[(1, j)] = np.vectorize(lambda x: -x, otypes=[object])(img[(1, 1)])
-    entries = {k: _rationalize(v) for k, v in entries.items()}
+        blocks[(-1, j)], blocks[(0, j)], blocks[(1, j)] = (
+            img[(-1, -1)], img[(-1, 1)] * r2, -img[(1, 1)])
+    blocks = {k: np.array([_rational(x) for x in c.flat], dtype=object).reshape(c.shape)
+              for k, c in blocks.items()}
+    den = Poly([_rational(x) for x in (s1.den * poly(-1, 4) * s2.den).coeffs])
     pt = pair("B0", 3)
-    op = _operator_matrix_from_entries(pt.labels(), pt.family, d, entries)
+    op = OperatorMatrix(pt.labels(), pt.family, d, den, blocks)
     return TwistedModule(pt, op, provenance=f"bridge_so3 of {m.provenance}")
-
-
-def _rationalize(m):
-    """Coerce Sqrt2 coefficients back to Fraction when possible."""
-
-    def fix(x: RatFunc):
-        def fixpoly(p: Poly):
-            out = []
-            for c in p.coeffs:
-                if isinstance(c, Sqrt2):
-                    if not c.is_rational:
-                        return None
-                    c = c.rational()
-                out.append(c)
-            return Poly(out)
-
-        n, d = fixpoly(x.num), fixpoly(x.den)
-        if n is None or d is None:
-            return x
-        return RatFunc(n, d, reduce=False)
-
-    return np.vectorize(fix, otypes=[object])(m)
 
 
 def bridge_so4(variant: str, mp: OlshanskiiModule, mm: OlshanskiiModule) -> TwistedModule:
@@ -542,26 +409,18 @@ def bridge_so4(variant: str, mp: OlshanskiiModule, mm: OlshanskiiModule) -> Twis
     else:
         raise ValueError("variant must be DIII or D0")
     half = Fraction(1, 2)
-    sp = {k: np.vectorize(lambda x: x.substitute_affine(1, -half), otypes=[object])(v)
-          for k, v in mp.op.s.items()}
-    sm = {k: np.vectorize(lambda x: x.substitute_affine(1, -half), otypes=[object])(v)
-          for k, v in mm.op.s.items()}
+    sp, sm = mp.op.substitute(1, -half), mm.op.substitute(1, -half)
     basis = {-2: (-1, -1), -1: (-1, 1), 1: (1, -1), 2: (1, 1)}
     sgn = {-2: 1, -1: 1, 1: 1, 2: -1}
-    dim = mp.dim * mm.dim
-    entries = {}
+    blocks = {}
     for i, (a, b) in basis.items():
         for j, (c, dd) in basis.items():
-            e1 = sp.get((a, c))
-            e2 = sm.get((b, dd))
+            e1, e2 = sp.blocks.get((a, c)), sm.blocks.get((b, dd))
             if e1 is None or e2 is None:
                 continue
             w = sgn[i] * sgn[j] * (K2x2[(c, c)] if use_k else 1)
-            mat = np.kron(e1, e2)
-            if w != 1:
-                mat = np.vectorize(lambda x, w=w: RatFunc.of(w) * x, otypes=[object])(mat)
-            entries[(i, j)] = mat
-    op = _operator_matrix_from_entries(pt.labels(), pt.family, dim, entries)
+            blocks[(i, j)] = w * _convolve(e1, e2, np.kron)
+    op = OperatorMatrix(pt.labels(), pt.family, mp.dim * mm.dim, sp.den * sm.den, blocks)
     return TwistedModule(
         pt, op, provenance=f"bridge_so4({variant}) of {mp.provenance} x {mm.provenance}"
     )
@@ -583,26 +442,23 @@ def vector_eval_x(N: int, family: str, a) -> XModule:
     from .tensors import IndexSet
 
     labs = IndexSet.for_N(N).labels()
-    d = N
     pos = {l: k for k, l in enumerate(labs)}
     inv1 = RatFunc(P_ONE, poly(-a, 1))  # 1/(u-a)
     inv2 = RatFunc(P_ONE, poly(-a - kappa, 1))  # 1/(u-a-kappa)
-    entries = {}
+
+    def unit(r, c):
+        m = _zeros(N)
+        m[pos[r], pos[c]] = Fraction(1)
+        return m
+
+    terms = {}
     for i in labs:
         for j in labs:
-            m = _rf_zeros(d)
-            nz = False
-            if i == j:
-                for l in labs:
-                    m[pos[l], pos[l]] = m[pos[l], pos[l]] + RatFunc.of(1)
-                nz = True
             # -delta_ik delta_lj / (u-a):  t_ij e_i ~ -e_j/(u-a)
-            m[pos[j], pos[i]] = m[pos[j], pos[i]] - inv1
             # theta_ij delta_{k,-j} delta_{l,-i} / (u-a-kappa)
-            m[pos[-i], pos[-j]] = m[pos[-i], pos[-j]] + theta(family, i, j) * inv2
-            if nz or any(bool(x) for x in m.flat):
-                entries[(i, j)] = m
-    op = _operator_matrix_from_entries(labs, family, d, entries)
+            terms[(i, j)] = ([(RatFunc.of(1), _eye(N))] if i == j else []) + [
+                (-inv1, unit(j, i)), (theta(family, i, j) * inv2, unit(-i, -j))]
+    op = OperatorMatrix.from_terms(labs, family, N, terms)
     xm = XModule(N, family, op, provenance=f"vector_eval_x(N={N}, {family}, a={a})")
     rep = verify_x(xm)
     if not rep.passed:
@@ -612,50 +468,8 @@ def vector_eval_x(N: int, family: str, a) -> XModule:
 
 def verify_x(m: XModule) -> Report:
     rep = Report(f"x-module {m.provenance}")
-    rep.merge(check_rtt_commutators(m.op.cleared(), m.kappa))
+    rep.merge(check_rtt_commutators(m.op, m.kappa))
     return rep
-
-
-def extract_x_weights(m: XModule) -> HighestWeightData:
-    """Highest weight data of an X(g_N)-module: the joint kernel of the
-    t_ij(u), i < j, and the eigenvalue functions lambda_i(u) for every label."""
-    cs = m.op.cleared()
-    labs = m.op.labels
-    raising = []
-    for i in labs:
-        for j in labs:
-            if i < j and (i, j) in cs.num:
-                raising.extend(a.tolist() for a in cs.num[(i, j)])
-    basis = linalg.intersect_kernels(raising, m.dim)
-    if not basis:
-        return HighestWeightData(0, [])
-    den = cs.den
-    cands = []
-    for v in basis:
-        piv = next((r for r in range(m.dim) if v[r]), None)
-        if piv is None:
-            continue
-        v = [x / v[piv] for x in v]
-        weights = {}
-        ok = True
-        for i in labs:
-            arrs = cs.num.get((i, i), [])
-            img = [
-                Poly([sum((a[r][c] * v[c] for c in range(m.dim)), Fraction(0))
-                      for a in (arr.tolist() for arr in arrs)])
-                for r in range(m.dim)
-            ]
-            lam = RatFunc(img[piv], den)
-            for r in range(m.dim):
-                if RatFunc(img[r], den) != lam * v[r]:
-                    ok = False
-                    break
-            if not ok:
-                break
-            weights[i] = lam
-        if ok:
-            cands.append((v, weights))
-    return HighestWeightData(len(basis), cands)
 
 
 def tensor_twisted(x: XModule, v: TwistedModule) -> TwistedModule:
@@ -667,33 +481,26 @@ def tensor_twisted(x: XModule, v: TwistedModule) -> TwistedModule:
     if x.N != pt.N or x.family != pt.family:
         raise ValueError("tensor factors live over different g_N")
     ka2 = pt.kappa / 2
-    t1 = {k: np.vectorize(lambda e: e.substitute_affine(1, -ka2), otypes=[object])(mm)
-          for k, mm in x.op.s.items()}
-    t2 = {k: np.vectorize(lambda e: e.substitute_affine(-1, ka2), otypes=[object])(mm)
-          for k, mm in x.op.s.items()}
+    t1, t2 = x.op.substitute(1, -ka2), x.op.substitute(-1, ka2)
     labs = pt.labels()
-    dim = x.dim * v.dim
-    entries = {}
+    blocks = {}
     for i in labs:
         for j in labs:
             acc = None
             for a in labs:
-                e1 = t1.get((i, a))
+                e1 = t1.blocks.get((i, a))
                 if e1 is None:
                     continue
                 for b in labs:
-                    e2 = t2.get((-j, -b))
-                    sv = v.op.s.get((a, b))
+                    e2 = t2.blocks.get((-j, -b))
+                    sv = v.op.blocks.get((a, b))
                     if e2 is None or sv is None:
                         continue
-                    th = theta(pt.family, j, b)
-                    mat = np.kron(e1 @ e2, sv)
-                    if th != 1:
-                        mat = np.vectorize(lambda e: RatFunc.of(th) * e, otypes=[object])(mat)
+                    mat = theta(pt.family, j, b) * _convolve(_convolve(e1, e2), sv, np.kron)
                     acc = mat if acc is None else acc + mat
-            if acc is not None and any(bool(e) for e in acc.flat):
-                entries[(i, j)] = acc
-    op = _operator_matrix_from_entries(labs, pt.family, dim, entries)
+            if acc is not None:
+                blocks[(i, j)] = acc
+    op = OperatorMatrix(labs, pt.family, x.dim * v.dim, t1.den * t2.den * v.op.den, blocks)
     return TwistedModule(pt, op, provenance=f"tensor({x.provenance}, {v.provenance})")
 
 
@@ -702,54 +509,49 @@ def tensor_twisted(x: XModule, v: TwistedModule) -> TwistedModule:
 # ---------------------------------------------------------------------------
 
 
+def _symmetry_report(name, op: OperatorMatrix, kappa, sign_refl, sign_pm, trace_g=None):
+    """theta_ij s_{-j,-i}(u) = sign_refl s_ij(k-u) + sign_pm (s_ij(u) - s_ij(k-u))/(2u-k)
+    [+ (Tr G(u) s_ij(k-u) - delta_ij sum_k s_kk(u))/(2u-2k) when trace_g = Tr G],
+    checked on the numerators after multiplying through by
+    den(u) den(k-u) (2u-k) [(2u-2k) den Tr G(u)]; one witness per failing (i, j)."""
+    rep = Report(name)
+    ka = Fraction(kappa)
+    refl = op.substitute(-1, ka)
+    c, cr, den, denr = op.coeffs(), refl.coeffs(), op.den, refl.den
+    a = poly(-ka, 2)
+    b = P_ONE if trace_g is None else poly(-2 * ka, 2) * trace_g.den
+    labs = op.labels
+    pos = {l: k for k, l in enumerate(labs)}
+    neg = [pos[-l] for l in labs]
+    th = np.array([[theta(op.family, i, j) for j in labs] for i in labs], dtype=object)
+    flipped = c[:, neg][:, :, neg].transpose(0, 2, 1, 3, 4) * th[None, :, :, None, None]
+    terms = [(denr * a * b, flipped), (-sign_refl * den * a * b, cr),
+             (-sign_pm * denr * b, c), (sign_pm * den * b, cr)]
+    if trace_g is not None:
+        diag = np.arange(len(labs))
+        tr = np.zeros_like(c)
+        tr[:, diag, diag] = c[:, diag, diag].sum(axis=1)[:, None]
+        terms += [(-trace_g.num * den * a, cr), (denr * a * trace_g.den, tr)]
+    bad = _lincomb(terms).astype(bool).any(axis=(0, 3, 4))
+    for i, j in zip(*np.nonzero(bad)):
+        rep.fail(((labs[i], labs[j]), "symmetry relation violated"))
+    return rep
+
+
 def check_twisted_symmetry(m: TwistedModule) -> Report:
     """theta_ij s_{-j,-i}(u) = (+-) s_ij(k-u) +- (s_ij(u) - s_ij(k-u))/(2u-k)
     + (Tr G(u) s_ij(k-u) - delta_ij sum_k s_kk(u)) / (2u-2k), exactly."""
-    rep = Report("symmetry-s=s")
     pt = m.pair
-    ka = pt.kappa
-    trg = g_matrix(pt).trace()
-    inv1 = RatFunc(P_ONE, poly(-ka, 2))
-    inv2 = RatFunc(P_ONE, poly(-2 * ka, 2))
-    labs = pt.labels()
-    trace_sum = None
-    for k in labs:
-        e = m.op.entry(k, k)
-        trace_sum = e if trace_sum is None else trace_sum + e
-    refl = {}
-    for key, e in m.op.s.items():
-        refl[key] = np.vectorize(lambda x: x.reflect(ka), otypes=[object])(e)
-
-    def refl_entry(i, j):
-        got = refl.get((i, j))
-        return got if got is not None else _rf_zeros(m.dim)
-
-    def smul(c, mat):
-        return np.vectorize(lambda x, c=c: c * x, otypes=[object])(mat)
-
-    for i in labs:
-        for j in labs:
-            th = theta(pt.family, i, j)
-            lhs = smul(RatFunc.of(th), m.op.entry(-j, -i))
-            rhs = smul(RatFunc.of(pt.sign_ci_diii), refl_entry(i, j))
-            rhs = rhs + smul(
-                RatFunc.of(pt.sign_pm) * inv1, m.op.entry(i, j) - refl_entry(i, j)
-            )
-            rhs = rhs + smul(trg * inv2, refl_entry(i, j))
-            if i == j:
-                rhs = rhs - smul(inv2, trace_sum)
-            if any(bool(x) for x in (lhs - rhs).flat):
-                rep.fail(((i, j), "symmetry relation violated"))
-    return rep
+    return _symmetry_report("symmetry-s=s", m.op, pt.kappa, pt.sign_ci_diii, pt.sign_pm,
+                            g_matrix(pt).trace())
 
 
 def verify_twisted(m: TwistedModule) -> Report:
     """Reflection commutators, symmetry relation and the unitary scalar w(u)."""
     rep = Report(f"twisted module {m.provenance}")
-    cs = m.op.cleared()
-    rep.merge(check_twisted_commutators(cs, m.pair.kappa))
+    rep.merge(check_twisted_commutators(m.op, m.pair.kappa))
     rep.merge(check_twisted_symmetry(m))
-    w, wrep = scalar_product_with_reflected(cs)
+    w, wrep = scalar_product_with_reflected(m.op)
     rep.merge(wrep)
     rep.details["w"] = w
     return rep
@@ -757,7 +559,7 @@ def verify_twisted(m: TwistedModule) -> Report:
 
 def unitary_scalar(m: TwistedModule):
     """w(u) with S(u)S(-u) = w(u) I, or None if not scalar."""
-    w, _ = scalar_product_with_reflected(m.op.cleared())
+    w, _ = scalar_product_with_reflected(m.op)
     return w
 
 
@@ -766,30 +568,31 @@ def check_embedding_brackets(m: TwistedModule) -> Report:
 
     [Fhat_ij, s_kl(v)] = (g_ii+g_jj)(d_kj s_il - d_il s_kj
                           - d_{k,-i} theta_ij s_{-j,l} + d_{l,-j} theta_ij s_{k,-i}).
+
+    With den = u^m + den_{m-1} u^{m-1} + ..., s^(1) = num_{m-1} - den_{m-1} num_m;
+    the bracket is checked on the numerators over den.
     """
     rep = Report("embedding-brackets")
     pt = m.pair
+    op = m.op
     labs = pt.labels()
     g = pt.g_diagonal()
-    gm = g_matrix(pt)
+    top = op.den.degree
+    if op.slots > top + 1:
+        raise ValueError("not a power series in 1/u: numerator degree exceeds denominator")
+    eye = _eye(m.dim)
 
-    def smul(c, mat):
-        return np.vectorize(lambda x, c=c: c * x, otypes=[object])(mat)
+    def slot(c, p):
+        return c[p] if 0 <= p < len(c) else 0 * eye
 
     fhat = {}
     for i in labs:
         for j in labs:
-            e = m.op.s.get((i, j))
-            if e is None:
-                fhat[(i, j)] = _rf_zeros(m.dim)
-                continue
-            coeff = np.vectorize(
-                lambda x: RatFunc.of(x.series_at_infinity(1).coeffs[1]), otypes=[object]
-            )(e)
+            c = op.block(i, j)
+            f = slot(c, top - 1) - op.den.coeff(top - 1) * slot(c, top)
             if i == j and not pt.first_kind:
-                gbar = Fraction(g[i] - 1) / pt.c
-                coeff = coeff - smul(RatFunc.of(gbar), _rf_const_matrix(_eye(m.dim)))
-            fhat[(i, j)] = coeff
+                f = f - Fraction(g[i] - 1) / pt.c * eye
+            fhat[(i, j)] = f
 
     for i in labs:
         for j in labs:
@@ -798,19 +601,18 @@ def check_embedding_brackets(m: TwistedModule) -> Report:
             th = theta(pt.family, i, j)
             for k in labs:
                 for l in labs:
-                    skl = m.op.entry(k, l)
+                    skl = op.block(k, l)
                     lhs = fm @ skl - skl @ fm
-                    rhs = _rf_zeros(m.dim)
+                    rhs = 0 * skl
                     if k == j:
-                        rhs = rhs + m.op.entry(i, l)
+                        rhs = rhs + op.block(i, l)
                     if i == l:
-                        rhs = rhs - m.op.entry(k, j)
+                        rhs = rhs - op.block(k, j)
                     if k == -i:
-                        rhs = rhs - smul(RatFunc.of(th), m.op.entry(-j, l))
+                        rhs = rhs - th * op.block(-j, l)
                     if l == -j:
-                        rhs = rhs + smul(RatFunc.of(th), m.op.entry(k, -i))
-                    rhs = smul(RatFunc.of(gij), rhs)
-                    if any(bool(x) for x in (lhs - rhs).flat):
+                        rhs = rhs + th * op.block(k, -i)
+                    if not np.array_equal(lhs, gij * rhs):
                         rep.fail(((i, j, k, l), "embedding bracket violated"))
     return rep
 
@@ -836,6 +638,44 @@ class HighestWeightData:
         return self.candidates[0][0]
 
 
+def _joint_kernel(op: OperatorMatrix, keys):
+    """Basis of the common kernel of every coefficient of s_k(u), k in keys."""
+    rows = [a.tolist() for k in keys if k in op.blocks for a in op.blocks[k]]
+    return linalg.intersect_kernels(rows, op.dim)
+
+
+def _read_weights(op: OperatorMatrix, vectors, labels):
+    """Each vector v, scaled to 1 at its first nonzero entry, that is a common
+    eigenvector of s_ii(u), i in labels, with its eigenvalues {i: mu_i(u)}."""
+    cands, seen = [], set()
+    for v in vectors:
+        piv = next((r for r, x in enumerate(v) if x), None)
+        if piv is None:
+            continue
+        v = [x / v[piv] for x in v]
+        if tuple(v) in seen:
+            continue
+        seen.add(tuple(v))
+        vec = np.array(v, dtype=object)
+        weights = {}
+        for i in labels:
+            img = op.block(i, i) @ vec  # [p, r]: s_ii(u) v = sum_p img[p] u^p / den
+            if not np.array_equal(img, np.multiply.outer(img[:, piv], vec)):
+                break
+            weights[i] = RatFunc(Poly(img[:, piv]), op.den)
+        else:
+            cands.append((v, weights))
+    return cands
+
+
+def extract_x_weights(m: XModule) -> HighestWeightData:
+    """Highest weight data of an X(g_N)-module: the joint kernel of the
+    t_ij(u), i < j, and the eigenvalue functions lambda_i(u) for every label."""
+    labs = m.op.labels
+    basis = _joint_kernel(m.op, [(i, j) for i in labs for j in labs if i < j])
+    return HighestWeightData(len(basis), _read_weights(m.op, basis, labs))
+
+
 def highest_weight_extract(m: TwistedModule) -> HighestWeightData:
     """Joint kernel of the raising part plus simultaneous diagonalization.
 
@@ -843,22 +683,13 @@ def highest_weight_extract(m: TwistedModule) -> HighestWeightData:
     i < j} and each common rational eigenvector of the diagonal operators
     restricted to V0, with its weight functions (mu_i(u))_{i in I_N}.
     """
-    cs = m.op.cleared()
     labs = m.pair.labels()
-    raising = []
-    for i in labs:
-        for j in labs:
-            if i < j and (i, j) in cs.num:
-                raising.extend(a.tolist() for a in cs.num[(i, j)])
-    basis = linalg.intersect_kernels(raising, m.dim)
+    basis = _joint_kernel(m.op, [(i, j) for i in labs for j in labs if i < j])
     if not basis:
         return HighestWeightData(0, [])
     spaces = [basis]
-    diag_mats = []
-    for i in m.pair.i_range:
-        arrs = cs.num.get((i, i))
-        if arrs:
-            diag_mats.extend(a.tolist() for a in arrs)
+    diag_mats = [a.tolist() for i in m.pair.i_range if (i, i) in m.op.blocks
+                 for a in m.op.blocks[(i, i)]]
     for mat in diag_mats:
         new_spaces = []
         for sp in spaces:
@@ -877,39 +708,28 @@ def highest_weight_extract(m: TwistedModule) -> HighestWeightData:
                            for r in range(m.dim)]
                     new_spaces.append([vec])
         spaces = new_spaces if new_spaces else spaces
-    den = cs.den
-    cands = []
-    seen = set()
-    for sp in spaces:
-        v = sp[0]
-        piv = next((r for r in range(m.dim) if v[r]), None)
-        if piv is None:
-            continue
-        v = [x / v[piv] for x in v]
-        key = tuple(v)
-        if key in seen:
-            continue
-        seen.add(key)
-        weights = {}
-        ok = True
-        for i in m.pair.i_range:
-            arrs = cs.num.get((i, i), [])
-            img = [
-                Poly([(sum((a[r][c] * v[c] for c in range(m.dim)), Fraction(0)))
-                      for a in (arr.tolist() for arr in arrs)])
-                for r in range(m.dim)
-            ]
-            mu = RatFunc(img[piv], den)
-            for r in range(m.dim):
-                if RatFunc(img[r], den) != mu * v[r]:
-                    ok = False
-                    break
-            if not ok:
-                break
-            weights[i] = mu
-        if ok:
-            cands.append((v, weights))
+    cands = _read_weights(m.op, [sp[0] for sp in spaces], m.pair.i_range)
     return HighestWeightData(len(basis), cands)
+
+
+def _restrict(labels, family, den, blocks, basis, rep, space):
+    """The operators blocks/den on the span of the constant vectors `basis`.
+
+    With B = [basis] and a rational left inverse L (L B = I), a block c maps
+    the span into itself iff c_p B = B L c_p B for every slot p, and then acts
+    there by L c_p B.  Returns None after one failure per block that does not.
+    """
+    B = np.array(basis, dtype=object).T
+    L = np.array(linalg.left_inverse(basis), dtype=object)
+    out = {}
+    for key, c in blocks.items():
+        cb = c @ B
+        out[key] = L @ cb
+        if not np.array_equal(B @ out[key], cb):
+            rep.fail((key, f"operator does not preserve {space}"))
+    if not rep.passed:
+        return None
+    return OperatorMatrix(labels, family, len(basis), den, out)
 
 
 _VPLUS_PAIRS = ("CI", "DIII", "B0", "C0", "D0")
@@ -926,113 +746,37 @@ def restrict_v_plus(m: TwistedModule):
     if pt.tag not in _VPLUS_PAIRS:
         raise ValueError(f"V+ restriction is defined for {_VPLUS_PAIRS}")
     n = pt.n
-    newN = pt.N - 2
     try:
-        new_pt = pair(pt.tag, newN)
+        new_pt = pair(pt.tag, pt.N - 2)
     except ValueError as e:
         raise ValueError(f"restriction target is out of range: {e}")
-    cs = m.op.cleared()
-    rows = []
-    for k in [l for l in pt.labels() if l < n]:
-        arrs = cs.num.get((k, n))
-        if arrs:
-            rows.extend(a.tolist() for a in arrs)
-    basis = linalg.intersect_kernels(rows, m.dim)
+    basis = _joint_kernel(m.op, [(k, n) for k in pt.labels() if k < n])
     rep = Report(f"v-plus restriction of {m.provenance}")
     if not basis:
         rep.fail(("V+", "V+ is zero"))
         return None, rep
-    half = Fraction(1, 2)
     kp = pt.kappa - 1
     if pt.tag in ("CI", "DIII"):
-        h = RatFunc.of(1)
+        h_num, h_den = P_ONE, P_ONE
     else:
-        h = RatFunc(poly(-2 * kp - 1, 2), poly(-2 * kp, 2))
-    labs_new = new_pt.labels()
-    entries = {}
-    r = len(basis)
-    for i in labs_new:
-        for j in labs_new:
-            sij = m.op.s.get((i, j))
-            snn = m.op.s.get((n, n)) if i == j else None
-            if sij is None and snn is None:
-                continue
-            mat = _rf_zeros(m.dim)
-            if sij is not None:
-                mat = mat + np.vectorize(lambda x: x.substitute_affine(1, half), otypes=[object])(sij)
-            if snn is not None:
-                inv2u = RatFunc(P_ONE, poly(0, 2))
-                mat = mat + np.vectorize(
-                    lambda x: inv2u * x.substitute_affine(1, half), otypes=[object]
-                )(snn)
-            mat = np.vectorize(lambda x: h * x, otypes=[object])(mat)
-            # restrict to the basis of V+
-            cols = []
-            bad = False
-            for b in basis:
-                img = [sum((mat[rr, cc] * b[cc] for cc in range(m.dim)), RatFunc.of(0))
-                       for rr in range(m.dim)]
-                sol = _solve_ratfunc_in_span(basis, img)
-                if sol is None:
-                    bad = True
-                    break
-                cols.append(sol)
-            if bad:
-                rep.fail(((i, j), "operator does not preserve V+"))
-                continue
-            red = np.empty((r, r), dtype=object)
-            for cc in range(r):
-                for rr in range(r):
-                    red[rr, cc] = cols[cc][rr]
-            if any(bool(x) for x in red.flat):
-                entries[(i, j)] = red
-    if not rep.passed:
+        h_num, h_den = poly(-2 * kp - 1, 2), poly(-2 * kp, 2)
+    # h(u) (2u s_ij(u+1/2) + delta_ij s_nn(u+1/2)) over h_den(u) 2u den(u+1/2)
+    s = m.op.substitute(1, Fraction(1, 2))
+    blocks = {}
+    for i in new_pt.labels():
+        for j in new_pt.labels():
+            terms = [(h_num * poly(0, 2), s.blocks.get((i, j))),
+                     (h_num, s.blocks.get((n, n)) if i == j else None)]
+            terms = [(p, c) for p, c in terms if c is not None]
+            if terms:
+                blocks[(i, j)] = _lincomb(terms)
+    op = _restrict(new_pt.labels(), new_pt.family, h_den * poly(0, 2) * s.den, blocks,
+                   basis, rep, "V+")
+    if op is None:
         return None, rep
-    op = _operator_matrix_from_entries(labs_new, new_pt.family, r, entries)
     out = TwistedModule(new_pt, op, provenance=f"v_plus({m.provenance})")
     rep.merge(verify_twisted(out))
     return out, rep
-
-
-def _solve_ratfunc_in_span(basis, img):
-    """Write a RatFunc vector in the rational span of constant basis vectors."""
-    dim = len(img)
-    r = len(basis)
-    # pick rows of the coordinate matrix giving an invertible r x r system
-    mat = [[basis[k][i] for k in range(r)] for i in range(dim)]
-    rankrows = []
-    cur = []
-    for i in range(dim):
-        cand = cur + [mat[i]]
-        if linalg.rank(cand) > len(cur):
-            cur = cand
-            rankrows.append(i)
-        if len(cur) == r:
-            break
-    if len(cur) < r:
-        return None
-    sub = [[frac(mat[i][k]) for k in range(r)] for i in rankrows]
-    rhs = [img[i] for i in rankrows]
-    # solve the small system over RatFunc by Gaussian elimination
-    aug = [[RatFunc.of(sub[i][k]) for k in range(r)] + [rhs[i]] for i in range(r)]
-    for c in range(r):
-        prow = next(i for i in range(c, r) if aug[i][c])
-        aug[c], aug[prow] = aug[prow], aug[c]
-        inv = RatFunc.of(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(r):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    sol = [aug[i][-1] for i in range(r)]
-    # verify the full (possibly overdetermined) system
-    for i in range(dim):
-        acc = RatFunc.of(0)
-        for k in range(r):
-            acc = acc + RatFunc.of(basis[k][i]) * sol[k]
-        if acc != img[i]:
-            return None
-    return sol
 
 
 @dataclass
@@ -1057,55 +801,23 @@ def restrict_v_j(m: TwistedModule):
     """
     pt = m.pair
     n = pt.n
-    cs = m.op.cleared()
-    rows = []
+    keys = []
     for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            arrs = cs.num.get((-i, j))
-            if arrs:
-                rows.extend(a.tolist() for a in arrs)
-        if pt.N % 2 == 1:
-            arrs = cs.num.get((0, j))
-            if arrs:
-                rows.extend(a.tolist() for a in arrs)
-    basis = linalg.intersect_kernels(rows, m.dim)
+        keys += [(-i, j) for i in range(1, n + 1)] + ([(0, j)] if pt.N % 2 == 1 else [])
+    basis = _joint_kernel(m.op, keys)
     rep = Report(f"v-j restriction of {m.provenance}")
     if not basis:
         rep.fail(("V^J", "V^J is zero"))
         return None, rep
-    sb = pt.sign_bracket
-    r = len(basis)
-    entries = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            sij = m.op.s.get((i, j))
-            if sij is None:
-                continue
-            cols = []
-            bad = False
-            for b in basis:
-                img = [sum((sij[rr, cc] * b[cc] for cc in range(m.dim)), RatFunc.of(0))
-                       for rr in range(m.dim)]
-                sol = _solve_ratfunc_in_span(basis, img)
-                if sol is None:
-                    bad = True
-                    break
-                cols.append(sol)
-            if bad:
-                rep.fail(((i, j), "operator does not preserve V^J"))
-                continue
-            red = np.empty((r, r), dtype=object)
-            for cc in range(r):
-                for rr in range(r):
-                    red[rr, cc] = sb * cols[cc][rr]
-            if any(bool(x) for x in red.flat):
-                entries[(i, j)] = red
-    if not rep.passed:
+    labs = list(range(1, n + 1))
+    blocks = {(i, j): pt.sign_bracket * m.op.blocks[(i, j)]
+              for i in labs for j in labs if (i, j) in m.op.blocks}
+    op = _restrict(labs, ORTHOGONAL, m.op.den, blocks, basis, rep, "V^J")
+    if op is None:
         return None, rep
-    op = _operator_matrix_from_entries(list(range(1, n + 1)), ORTHOGONAL, r, entries)
     bm = ReflectionAlgebraModule(n, pt.ell, op)
-    rep.merge(check_mr_commutators(op.cleared()))
-    w, wrep = scalar_product_with_reflected(op.cleared())
+    rep.merge(check_mr_commutators(op))
+    w, wrep = scalar_product_with_reflected(op)
     rep.merge(wrep)
     rep.details["BB_scalar"] = w
     return bm, rep

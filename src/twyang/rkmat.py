@@ -21,7 +21,7 @@ from .tensors import (
     op_P,
     op_Q,
 )
-from .verify import ClearedS, Report, check_relation
+from .verify import OperatorMatrix, Report, check_relation
 
 GL = "gl"
 
@@ -278,7 +278,7 @@ def _coeffs(m: LabeledMatrix, labels):
     for (r, c), v in m.data.items():
         e = s.setdefault((r[0], c[0]), np.full((d, d), RF_ZERO, dtype=object))
         e[(pos[r[1]], pos[c[1]]) if d > 1 else (0, 0)] = v
-    return ClearedS.of(labels, None, d, s).coeffs()
+    return OperatorMatrix.from_entries(labels, None, d, s).coeffs()
 
 
 def check_yang_baxter(R: LabeledMatrix) -> Report:

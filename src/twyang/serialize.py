@@ -18,8 +18,8 @@ import numpy as np
 from .classify import Certificate, WeightTuple
 from .exact import Poly, RatFunc, Sqrt2
 from .rkmat import PairType
-from .reps import OperatorMatrix, TwistedModule, XModule, _rf_zeros
-from .tensors import ORTHOGONAL
+from .reps import OperatorMatrix, TwistedModule, XModule
+from .tensors import IndexSet
 
 
 def _frac_str(x) -> str:
@@ -33,7 +33,12 @@ def _poly_json(p: Poly):
 
 
 def _poly_load(lst) -> Poly:
-    return Poly([Fraction(c) for c in lst])
+    if not isinstance(lst, list):
+        raise ValueError(f"a polynomial is a list of coefficients, got {lst!r}")
+    try:
+        return Poly([Fraction(c) for c in lst])
+    except TypeError:
+        raise ValueError(f"bad polynomial coefficients {lst!r}")
 
 
 def _rf_json(f: RatFunc):
@@ -41,6 +46,8 @@ def _rf_json(f: RatFunc):
 
 
 def _rf_load(d) -> RatFunc:
+    if not isinstance(d, dict) or set(d) != {"num", "den"}:
+        raise ValueError(f"a rational function is a {{num, den}} object, got {d!r}")
     den = _poly_load(d["den"])
     if not den:
         raise ValueError("rational function with zero denominator")
@@ -54,21 +61,27 @@ def pair_json(pt: PairType):
     return out
 
 
+def _positive_int(x, what) -> int:
+    if type(x) is not int or x < 1:
+        raise ValueError(f"{what} must be a positive integer, got {x!r}")
+    return x
+
+
 def pair_load(d) -> PairType:
-    return PairType(d["tag"], d["N"], d.get("p"), d.get("q"))
+    return PairType(d["tag"], _positive_int(d["N"], "N"), d.get("p"), d.get("q"))
 
 
 def module_json(m) -> dict:
     if isinstance(m, TwistedModule):
         head = {"kind": "twisted", "pair": pair_json(m.pair)}
-        op = m.op
     elif isinstance(m, XModule):
         head = {"kind": "x", "N": m.N, "family": m.family}
-        op = m.op
     else:
         raise TypeError(f"cannot serialize {type(m).__name__}")
+    op = m.op
     entries = {}
-    for (i, j), mat in sorted(op.s.items()):
+    for i, j in sorted(op.blocks):
+        mat = op.entry(i, j)
         entries[f"{i},{j}"] = [
             [_rf_json(mat[r, c]) for c in range(op.dim)] for r in range(op.dim)
         ]
@@ -77,29 +90,33 @@ def module_json(m) -> dict:
 
 
 def module_load(d):
-    from .reps import TwistedModule, XModule
-
-    dim = d["dim"]
+    if d["kind"] == "twisted":
+        pt = pair_load(d["pair"])
+        labels, family = pt.labels(), pt.family
+    elif d["kind"] == "x":
+        labels, family = IndexSet.for_N(_positive_int(d["N"], "N")).labels(), d["family"]
+    else:
+        raise ValueError(f"unknown module kind {d['kind']!r}")
+    dim = _positive_int(d["dim"], "dim")
+    keys = {f"{i},{j}": (i, j) for i in labels for j in labels}
+    if not isinstance(d["entries"], dict):
+        raise ValueError("module entries must be an object")
     entries = {}
     for key, rows in d["entries"].items():
-        i, j = (int(x) for x in key.split(","))
-        mat = _rf_zeros(dim)
+        if key not in keys:
+            raise ValueError(f"entry key {key!r} is not 'i,j' with i, j in {labels}")
+        if not isinstance(rows, list) or len(rows) != dim or any(
+                not isinstance(row, list) or len(row) != dim for row in rows):
+            raise ValueError(f"entry {key} is not a {dim} x {dim} matrix")
+        mat = np.empty((dim, dim), dtype=object)
         for r in range(dim):
             for c in range(dim):
                 mat[r, c] = _rf_load(rows[r][c])
-        entries[(i, j)] = mat
+        entries[keys[key]] = mat
+    op = OperatorMatrix.from_entries(labels, family, dim, entries)
     if d["kind"] == "twisted":
-        pt = pair_load(d["pair"])
-        op = OperatorMatrix(pt.labels(), pt.family, dim, entries)
         return TwistedModule(pt, op, provenance=d.get("provenance", ""))
-    if d["kind"] == "x":
-        from .tensors import IndexSet
-
-        fam = d["family"]
-        labs = IndexSet.for_N(d["N"]).labels()
-        op = OperatorMatrix(labs, fam, dim, entries)
-        return XModule(d["N"], fam, op, provenance=d.get("provenance", ""))
-    raise ValueError(f"unknown module kind {d['kind']!r}")
+    return XModule(d["N"], family, op, provenance=d.get("provenance", ""))
 
 
 def weights_json(wt: WeightTuple) -> dict:

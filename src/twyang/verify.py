@@ -30,16 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import numpy as np
 
 from .exact import P_ONE, Poly, RatFunc, Sqrt2
 from .tensors import theta
-
-
-def _is_zero_mat(m) -> bool:
-    return not any(bool(x) for x in m.flat)
 
 
 # ---------------------------------------------------------------------------
@@ -82,48 +78,155 @@ class Report:
         return head
 
 
-class ClearedS:
-    """Cleared S-matrix: s_ij(u) = (sum_p num[(i, j)][p] u^p) / den(u)."""
+def _zeros(*shape):
+    return np.full(shape, Fraction(0), dtype=object)
 
-    def __init__(self, labels, family, dim, den: Poly, num: dict):
+
+def _convolve(a, b, op=np.matmul):
+    """Coefficients of (sum_p a[p] u^p)(sum_q b[q] u^q), with op (matmul, kron
+    or multiply) multiplying two coefficients."""
+    out = None
+    for p, x in enumerate(a):
+        for q, y in enumerate(b):
+            t = op(x, y)
+            if out is None:
+                out = _zeros(len(a) + len(b) - 1, *np.shape(t))
+            out[p + q] += t
+    return out
+
+
+def _division_maps(g: Poly, n):
+    """(Q, R): column p holds the coefficients of u^p // g and of u^p % g."""
+    Q, R = _zeros(max(n - g.degree, 1), n), _zeros(g.degree, n)
+    for p in range(n):
+        q, r = Poly([0] * p + [1]).divmod(g)
+        Q[: len(q.coeffs), p] = q.coeffs
+        R[: len(r.coeffs), p] = r.coeffs
+    return Q, R
+
+
+def _common_factor(den: Poly, F, width) -> Poly:
+    """gcd(den, every column of F read as the coefficients of a polynomial),
+    monic.  Columns are checked by their remainders `width` at a time, so a
+    den coprime to the first numerators costs one gcd or two."""
+    g, rem = den.monic(), None
+    for start in range(0, F.shape[1], width):
+        chunk = F[:, start: start + width]
+        while g.degree > 0:
+            if rem is None:
+                rem = _division_maps(g, len(F))[1]
+            r = rem @ chunk
+            bad = next((c for c in range(r.shape[1]) if any(r[:, c])), None)
+            if bad is None:
+                break
+            g, rem = g.gcd(Poly(chunk[:, bad])), None
+        if g.degree <= 0:
+            return P_ONE
+    return g
+
+
+class OperatorMatrix:
+    """The operator-valued matrix s_ij(u) = (sum_p blocks[(i, j)][p] u^p) / den(u),
+    i, j in `labels`, each blocks[(i, j)][p] a dim x dim rational array.
+
+    This is the one storage of the S-, T- and B-matrices of modules.  The
+    constructor makes it canonical: den is monic, gcd(den, every numerator
+    entry) = 1, every block has one slot past the top nonzero slot of all
+    blocks, and no stored block is all zero.  Hence den is the lcm of the
+    denominators of the reduced entries, and two operator matrices are equal
+    iff their dens and blocks are.
+    """
+
+    def __init__(self, labels, family, dim, den: Poly, blocks: dict):
         self.labels = list(labels)
         self.family = family
         self.dim = dim
+        keys = [k for k, b in blocks.items() if any(b.flat)]
+        slots, dd = max((len(blocks[k]) for k in keys), default=1), dim * dim
+        F = _zeros(slots, len(keys) * dd)
+        for t, k in enumerate(keys):
+            F[: len(blocks[k]), t * dd: (t + 1) * dd] = blocks[k].reshape(len(blocks[k]), dd)
+        g = _common_factor(den, F, dd)
+        if g.degree > 0:
+            den, F = den // g, _division_maps(g, slots)[0] @ F
+        if den.lead != 1:
+            den, F = den.monic(), F * (1 / den.lead)
+        top = max((p for p in range(len(F)) if any(F[p])), default=0)
         self.den = den
-        # strip zero coefficient matrices but keep alignment
-        self.num = {k: [a for a in v] for k, v in num.items() if any(not _is_zero_mat(a) for a in v)}
+        self.blocks = {k: F[: top + 1, t * dd: (t + 1) * dd].reshape(top + 1, dim, dim)
+                       for t, k in enumerate(keys)}
 
     @classmethod
-    def of(cls, labels, family, dim, s):
-        """Clear the denominators of s_ij(u), given as d x d arrays of RatFunc."""
-        dens = {x.den for m in s.values() for x in m.flat}
+    def from_terms(cls, labels, family, dim, terms):
+        """s_ij(u) = sum_t c_t(u) M_t from {(i, j): [(RatFunc c_t, constant d x d M_t)]}."""
+        den = P_ONE
+        for ts in terms.values():
+            for c, _ in ts:
+                den = den.lcm(c.den)
+        blocks = {}
+        for key, ts in terms.items():
+            nums = [(c.num * (den // c.den)).coeffs for c, _ in ts]
+            b = _zeros(max(map(len, nums)), dim, dim)
+            for p, (_, M) in zip(nums, ts):
+                for k, x in enumerate(p):
+                    b[k] += x * M
+            blocks[key] = b
+        return cls(labels, family, dim, den, blocks)
+
+    @classmethod
+    def from_entries(cls, labels, family, dim, entries):
+        """Clear the denominators of {(i, j): d x d array of RatFunc}."""
+        dens = {x.den for m in entries.values() for x in m.flat}
         den = P_ONE
         for q in dens:
             den = den.lcm(q)
         factor = {q: den // q for q in dens}
-        polys = {k: [[x.num * factor[x.den] for x in row] for row in m] for k, m in s.items()}
-        slots = 1 + max((p.degree for rows in polys.values() for row in rows for p in row),
-                        default=0)
-        num = {}
-        for key, rows in polys.items():
-            arrays = np.full((slots, dim, dim), Fraction(0), dtype=object)
-            for r, row in enumerate(rows):
-                for c, p in enumerate(row):
-                    for k, co in enumerate(p.coeffs):
-                        if co:
-                            arrays[k, r, c] = co
-            num[key] = list(arrays)
-        return cls(labels, family, dim, den, num)
+        blocks = {}
+        for key, m in entries.items():
+            nums = {rc: (x.num * factor[x.den]).coeffs for rc, x in np.ndenumerate(m) if x}
+            b = _zeros(max(map(len, nums.values()), default=0), dim, dim)
+            for (r, c), p in nums.items():
+                b[: len(p), r, c] = p
+            blocks[key] = b
+        return cls(labels, family, dim, den, blocks)
+
+    @property
+    def slots(self):
+        return max((len(b) for b in self.blocks.values()), default=1)
+
+    def block(self, i, j):
+        """The numerator coefficients of s_ij, zero when the block is not stored."""
+        got = self.blocks.get((i, j))
+        return got if got is not None else _zeros(self.slots, self.dim, self.dim)
+
+    def entry(self, i, j):
+        """s_ij(u) as a d x d array of reduced RatFunc (a derived view)."""
+        out = np.full((self.dim, self.dim), RatFunc.of(0), dtype=object)
+        b = self.blocks.get((i, j))
+        for r in range(self.dim if b is not None else 0):
+            for c in range(self.dim):
+                if any(b[:, r, c]):
+                    out[r, c] = RatFunc(Poly(b[:, r, c]), self.den)
+        return out
+
+    def substitute(self, a, b) -> "OperatorMatrix":
+        """s_ij(a u + b), a != 0: one linear map on the coefficient axis."""
+        a, b, n = Fraction(a), Fraction(b), self.slots
+        M = _zeros(n, n)
+        for p in range(n):
+            for q in range(p + 1):
+                M[q, p] = comb(p, q) * a**q * b ** (p - q)
+        blocks = {k: (M @ c.reshape(n, -1)).reshape(c.shape) for k, c in self.blocks.items()}
+        return OperatorMatrix(self.labels, self.family, self.dim,
+                              self.den.compose_affine(a, b), blocks)
 
     def coeffs(self):
         """The numerators as one array c[p, i, j, r, s] (label positions i, j)."""
         pos = {l: k for k, l in enumerate(self.labels)}
         n, d = len(self.labels), self.dim
-        slots = max((len(v) for v in self.num.values()), default=1)
-        out = np.full((slots, n, n, d, d), Fraction(0), dtype=object)
-        for (i, j), arrs in self.num.items():
-            for p, a in enumerate(arrs):
-                out[p, pos[i], pos[j]] = a
+        out = _zeros(self.slots, n, n, d, d)
+        for (i, j), c in self.blocks.items():
+            out[:, pos[i], pos[j]] = c
         return out
 
 
@@ -275,38 +378,38 @@ def _two_leg_basis(labels, family):
     return I, P, Q
 
 
-def _r_kappa(cs: ClearedS, kappa):
+def _r_kappa(op: OperatorMatrix, kappa):
     """u (u - kappa) R(u), R(u) = 1 - P/u + Q/(u - kappa)."""
-    I, P, Q = _two_leg_basis(cs.labels, cs.family)
+    I, P, Q = _two_leg_basis(op.labels, op.family)
     ka = Fraction(kappa)
     return np.stack([ka * P, -ka * I - P + Q, I])
 
 
-def _r_gl(cs: ClearedS):
+def _r_gl(op: OperatorMatrix):
     """u R(u), R(u) = 1 - P/u."""
-    I, P, _ = _two_leg_basis(cs.labels, cs.family)
+    I, P, _ = _two_leg_basis(op.labels, op.family)
     return np.stack([-P, I])
 
 
-def check_twisted_commutators(cs: ClearedS, kappa) -> Report:
-    r = _r_kappa(cs, kappa)
-    return check_relation("reflection-commutators", cs.labels, r, cs.coeffs(), r)
+def check_twisted_commutators(op: OperatorMatrix, kappa) -> Report:
+    r = _r_kappa(op, kappa)
+    return check_relation("reflection-commutators", op.labels, r, op.coeffs(), r)
 
 
-def check_rtt_commutators(cs: ClearedS, kappa) -> Report:
-    return check_relation("rtt-commutators", cs.labels, _r_kappa(cs, kappa), cs.coeffs())
+def check_rtt_commutators(op: OperatorMatrix, kappa) -> Report:
+    return check_relation("rtt-commutators", op.labels, _r_kappa(op, kappa), op.coeffs())
 
 
-def check_olshanskii_commutators(cs: ClearedS) -> Report:
+def check_olshanskii_commutators(op: OperatorMatrix) -> Report:
     # B = u R^t(-u) = u + Q, with the transpose t of the module's family
-    I, _, Q = _two_leg_basis(cs.labels, cs.family)
-    return check_relation("olshanskii-commutators", cs.labels, _r_gl(cs),
-                          cs.coeffs(), np.stack([Q, I]))
+    I, _, Q = _two_leg_basis(op.labels, op.family)
+    return check_relation("olshanskii-commutators", op.labels, _r_gl(op),
+                          op.coeffs(), np.stack([Q, I]))
 
 
-def check_mr_commutators(cs: ClearedS) -> Report:
-    r = _r_gl(cs)
-    return check_relation("reflection-algebra-commutators", cs.labels, r, cs.coeffs(), r)
+def check_mr_commutators(op: OperatorMatrix) -> Report:
+    r = _r_gl(op)
+    return check_relation("reflection-algebra-commutators", op.labels, r, op.coeffs(), r)
 
 
 # ---------------------------------------------------------------------------
@@ -314,49 +417,31 @@ def check_mr_commutators(cs: ClearedS) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def scalar_product_with_reflected(cs: ClearedS):
+def scalar_product_with_reflected(op: OperatorMatrix):
     """Returns (w, report): w with S(u) S(-u) = w(u) * Id if scalar, else None."""
     rep = Report("unitary-scalar")
-    den2 = cs.den * cs.den.compose_affine(-1, 0)
-    dim = cs.dim
+    den2 = op.den * op.den.compose_affine(-1, 0)
+    eye = np.eye(op.dim, dtype=object)
     w_num = None
-    for i in cs.labels:
-        for j in cs.labels:
-            acc = {}
-            for a in cs.labels:
-                A = cs.num.get((i, a))
-                B = cs.num.get((a, j))
-                if not A or not B:
+    for i in op.labels:
+        for j in op.labels:
+            acc = None
+            for a in op.labels:
+                A, B = op.blocks.get((i, a)), op.blocks.get((a, j))
+                if A is None or B is None:
                     continue
-                for p, ap in enumerate(A):
-                    for q, bq in enumerate(B):
-                        m = ap @ ((-1) ** q * bq)
-                        acc[p + q] = m if p + q not in acc else acc[p + q] + m
+                m = _convolve(A, np.array([(-1) ** q * b for q, b in enumerate(B)]))
+                acc = m if acc is None else acc + m
             if i != j:
-                if any(not _is_zero_mat(m) for m in acc.values()):
+                if acc is not None and any(acc.flat):
                     rep.fail(((i, j), "off-diagonal entry of S(u)S(-u) is nonzero"))
                 continue
             # diagonal: must be a scalar matrix, equal for every i
-            coeffs = []
-            top = max(acc) if acc else 0
-            for k in range(top + 1):
-                m = acc.get(k)
-                if m is None:
-                    coeffs.append(Fraction(0))
-                    continue
-                c = m[0, 0]
-                scal = True
-                for r in range(dim):
-                    for s in range(dim):
-                        if (r == s and m[r, s] != c) or (r != s and m[r, s]):
-                            scal = False
-                            break
-                    if not scal:
-                        break
-                if not scal:
+            coeffs = [Fraction(0)] if acc is None else list(acc[:, 0, 0])
+            for k in range(0 if acc is None else len(acc)):
+                if not np.array_equal(acc[k], coeffs[k] * eye):
                     rep.fail(((i, i), f"coefficient of u^{k} is not scalar"))
                     return None, rep
-                coeffs.append(c)
             w = RatFunc(Poly(coeffs), den2)
             if w_num is None:
                 w_num = w

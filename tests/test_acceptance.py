@@ -208,7 +208,7 @@ def test_criterion_06_bridge_consistency():
         om = olshanskii_eval(-1, sp2_on_so3(mu))
         b = bridge_so3(om)
         e = eval_so3(mu)
-        for k in set(b.op.s) | set(e.op.s):
+        for k in set(b.op.blocks) | set(e.op.blocks):
             assert np.array_equal(b.op.entry(*k), e.op.entry(*k)), (mu, k)
         sdet, rep = sklyanin_det2(om)
         assert rep.passed and sdet is not None, mu

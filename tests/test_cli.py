@@ -89,3 +89,55 @@ def test_build_bridge(tmp_path):
     assert main(["verify", "module", "--in", str(out)]) == 0
     assert main(["build", "bridge", "--variant", "DIII", "--mu1", "1",
                  "--mu2", "0", "--out", str(out)]) == 0
+
+
+def _short_row(d):
+    d["entries"]["1,1"][0].pop()
+
+
+def _extra_row(d):
+    d["entries"]["1,1"].append(d["entries"]["1,1"][0])
+
+
+def _bare_number_cell(d):
+    d["entries"]["1,1"][0][0] = 7
+
+
+def _cell_without_den(d):
+    del d["entries"]["1,1"][0][0]["den"]
+
+
+def _extra_label_entry(d):
+    d["entries"]["5,5"] = d["entries"]["1,1"]
+
+
+def _key_not_i_j(d):
+    d["entries"]["1;1"] = d["entries"].pop("1,1")
+
+
+MALFORMED = {
+    "short-row": _short_row,
+    "extra-row": _extra_row,
+    "dim-too-large": lambda d: d.update(dim=3),
+    "dim-zero": lambda d: d.update(dim=0),
+    "dim-string": lambda d: d.update(dim="2"),
+    "N-string": lambda d: d["pair"].update(N="two"),
+    "bare-number-cell": _bare_number_cell,
+    "cell-without-den": _cell_without_den,
+    "extra-label-entry": _extra_label_entry,
+    "key-not-i,j": _key_not_i_j,
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_module_file_is_a_config_error(tmp_path, mutate):
+    # a malformed module file is bad input (exit 2), never a failed identity (1)
+    from twyang import serialize
+    from twyang.reps import eval_sp2
+
+    data = serialize.module_json(eval_sp2("C0", -1))
+    mutate(data)
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps(data))
+    assert main(["verify", "module", "--in", str(f)]) == 2
+    assert main(["weights", "--in", str(f)]) == 2

@@ -148,12 +148,12 @@ def test_bridge_sp2_matches_eval():
     for mu in [0, -1, -2]:
         b = bridge_sp2("C0", olshanskii_eval(-1, sp2_module(mu)))
         e = eval_sp2("C0", mu)
-        for k in set(b.op.s) | set(e.op.s):
+        for k in set(b.op.blocks) | set(e.op.blocks):
             assert np.array_equal(b.op.entry(*k), e.op.entry(*k))
     for mu in [0, Fraction(1, 2)]:
         b = bridge_sp2("CI", olshanskii_eval(1, so2_char(mu)))
         e = eval_sp2("CI", mu)
-        for k in set(b.op.s) | set(e.op.s):
+        for k in set(b.op.blocks) | set(e.op.blocks):
             assert np.array_equal(b.op.entry(*k), e.op.entry(*k))
 
 
@@ -170,7 +170,7 @@ def test_bridge_so3_matches_eval(mu):
     assert verify_olshanskii(om).passed
     b = bridge_so3(om)
     e = eval_so3(mu)
-    for k in set(b.op.s) | set(e.op.s):
+    for k in set(b.op.blocks) | set(e.op.blocks):
         assert np.array_equal(b.op.entry(*k), e.op.entry(*k)), k
     sdet, rep = sklyanin_det2(om)
     assert rep.passed
@@ -181,13 +181,13 @@ def test_bridge_so4_matches_eval():
         b = bridge_so4("DIII", olshanskii_eval(1, so2_char(mu1 + mu2)),
                        olshanskii_eval(-1, sp2_module(mu2 - mu1)))
         e = eval_so4("DIII", mu1, mu2)
-        for k in set(b.op.s) | set(e.op.s):
+        for k in set(b.op.blocks) | set(e.op.blocks):
             assert np.array_equal(b.op.entry(*k), e.op.entry(*k))
     for mu1, mu2 in [(0, -1), (-1, -1)]:
         b = bridge_so4("D0", olshanskii_eval(-1, sp2_module(mu1 + mu2)),
                        olshanskii_eval(-1, sp2_module(mu2 - mu1)))
         e = eval_so4("D0", mu1, mu2)
-        for k in set(b.op.s) | set(e.op.s):
+        for k in set(b.op.blocks) | set(e.op.blocks):
             assert np.array_equal(b.op.entry(*k), e.op.entry(*k))
 
 
@@ -421,7 +421,7 @@ def test_serialization_round_trip(tmp_path):
     serialize.dump(m, f)
     m2 = serialize.load(f)
     assert m2.pair == m.pair and m2.dim == m.dim
-    for k in set(m.op.s) | set(m2.op.s):
+    for k in set(m.op.blocks) | set(m2.op.blocks):
         assert np.array_equal(m.op.entry(*k), m2.op.entry(*k))
     assert verify_twisted(m2).passed
     x = vector_eval_x(3, "orthogonal", Fraction(1, 2))
@@ -433,11 +433,10 @@ def test_serialization_round_trip(tmp_path):
 
 def test_corrupted_module_fails_with_witness():
     m = eval_so3(-1)
-    bad = dict(m.op.s)
-    e = bad[(1, 1)].copy()
-    e[0, 0] = e[0, 0] * 2
-    bad[(1, 1)] = e
-    mb = TwistedModule(m.pair, OperatorMatrix(m.op.labels, m.op.family, m.op.dim, bad),
-                       "corrupted")
+    bad = dict(m.op.blocks)
+    bad[(1, 1)] = bad[(1, 1)].copy()
+    bad[(1, 1)][0, 0, 0] += 1  # s_11[0, 0] gains 1/den(u)
+    mb = TwistedModule(m.pair, OperatorMatrix(m.op.labels, m.op.family, m.op.dim,
+                                              m.op.den, bad), "corrupted")
     rep = verify_twisted(mb)
     assert not rep.passed and rep.witnesses
