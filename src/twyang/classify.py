@@ -5,9 +5,10 @@ All conditions are stated through the tilde transform
     tmu_i(u) = (2u - n + i) mu_i(u) + sum_{l > i} mu_l(u),
 
 and decided by exact linear algebra on polynomial coefficients: the
-functional equation P(u+shift)/P(u) = ratio is solved degree by degree, and
-the scalar gamma is searched among the rational roots of the cleared
-numerator (plus kappa/2).  No polynomial factorization over extensions is
+functional equation P(u+shift)/P(u) = ratio forces the degree of P through
+its top coefficients and is then one linear solve at that degree, and the
+scalar gamma is searched among the rational roots of the cleared numerator
+(plus kappa/2).  No polynomial factorization over extensions is
 ever attempted; when a rational answer cannot be certified the verdict is
 marked inconclusive rather than guessed.
 """
@@ -133,34 +134,42 @@ class SolveResult:
 
 def solve_P(ratio: RatFunc, shift, sym_center=None, deg_max: int = 16) -> SolveResult:
     """The unique monic P with P(u+shift)/P(u) = ratio (and the reflection
-    symmetry P(u) = P(-u+sym_center) when a center is given)."""
+    symmetry P(u) = P(-u+sym_center) when a center is given), shift != 0.
+
+    The degree of P is forced.  With A = ratio.num = u^n + a_1 u^(n-1) + ...
+    and B = ratio.den = u^n + b_1 u^(n-1) + ..., the u^(n+d-1) coefficient of
+    P(u+shift) B = A P for a monic P of degree d reads d shift + b_1 = a_1,
+    so d = (a_1 - b_1)/shift; and since A, B are coprime, A divides
+    P(u+shift), so d >= n.  Two solutions would differ by a shift-periodic
+    rational function, a constant, so P is unique.  One exact linear solve at
+    degree d therefore decides existence: the answer is NONE when d is not
+    an integer >= n or that solve has no solution, and INCONCLUSIVE only when
+    d > deg_max, which caps the size of the solve and nothing else.
+    """
     shift = frac(shift)
     A, B = ratio.num, ratio.den
     if A.degree != B.degree or A.lead != 1:
         return SolveResult(NONE, detail="ratio is not a quotient of equal-degree monics")
-    for d in range(A.degree, deg_max + 1):
-        # unknowns: p_0 .. p_{d-1}; p_d = 1 (monic)
-        rows = []
-        rhs = []
-        # want P(u+shift) * B - A * P = 0
-        base = [Poly([0] * k + [1]).compose_affine(1, shift) * B - A * Poly([0] * k + [1])
-                for k in range(d + 1)]
-        deg_top = max((p.degree for p in base if p), default=-1)
-        for e in range(deg_top + 1):
-            rows.append([base[k].coeff(e) for k in range(d)])
-            rhs.append(-base[d].coeff(e))
-        sol, _ = solve(rows, rhs)
-        if sol is None:
-            continue
-        P = Poly(list(sol) + [Fraction(1)])
-        if (P.compose_affine(1, shift) * B - A * P):
-            continue
-        if sym_center is not None and P.compose_affine(-1, frac(sym_center)) != P:
-            return SolveResult(
-                NONE, detail=f"unique P of degree {d} violates the reflection symmetry"
-            )
-        return SolveResult(FOUND, P=P)
-    return SolveResult(INCONCLUSIVE, detail=f"no P up to degree {deg_max}")
+    d = (A.coeff(A.degree - 1) - B.coeff(B.degree - 1)) / shift
+    if d.denominator != 1 or d < A.degree:
+        return SolveResult(NONE, detail=f"P would have degree {d}, not an integer >= {A.degree}")
+    d = int(d)
+    if d > deg_max:
+        return SolveResult(INCONCLUSIVE, detail=f"P would have degree {d} > deg_max = {deg_max}")
+    # unknowns p_0 .. p_{d-1} and p_d = 1 (monic) in P(u+shift) B - A P = 0
+    base = [Poly([0] * k + [1]).compose_affine(1, shift) * B - A * Poly([0] * k + [1])
+            for k in range(d + 1)]
+    top = range(max((p.degree for p in base if p), default=-1) + 1)
+    sol, _ = solve([[base[k].coeff(e) for k in range(d)] for e in top],
+                   [-base[d].coeff(e) for e in top])
+    P = None if sol is None else Poly(list(sol) + [Fraction(1)])
+    if P is None or P.compose_affine(1, shift) * B - A * P:
+        return SolveResult(NONE, detail=f"no P of the forced degree {d}")
+    if sym_center is not None and P.compose_affine(-1, frac(sym_center)) != P:
+        return SolveResult(
+            NONE, detail=f"unique P of degree {d} violates the reflection symmetry"
+        )
+    return SolveResult(FOUND, P=P)
 
 
 def _gamma_candidates(ratio: RatFunc, kap):
@@ -198,7 +207,7 @@ def solve_P_gamma(ratio: RatFunc, shift, kap, sym_center=None, deg_max: int = 16
         )
     if saw_inconclusive:
         return SolveResult(
-            INCONCLUSIVE, detail=f"no (P, gamma) certified up to degree {deg_max}"
+            INCONCLUSIVE, detail=f"some gamma would need a P of degree > deg_max = {deg_max}"
         )
     return SolveResult(NONE, detail="no admissible (P, gamma)")
 
@@ -277,7 +286,10 @@ _FULL_TAGS = ("B0", "C0", "D0", "CI", "DIII")
 def classify(wt: WeightTuple, deg_max: int = 16) -> Verdict:
     """Decide finite-dimensionality; extract the Drinfeld certificate where
     the classification theorems apply (BCD0, CI, DIII), or check the
-    necessary conditions only (BIa, BIb, CII, DIa)."""
+    necessary conditions only (BIa, BIb, CII, DIa).  deg_max caps the forced
+    degree of each Drinfeld polynomial (see solve_P)."""
+    if deg_max < 0:
+        raise ValueError(f"deg_max must be a nonnegative integer, got {deg_max}")
     pt = wt.pair
     ok, wit = check_nontrivial(wt)
     if not ok:

@@ -220,7 +220,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classify", help="classify a weight tuple")
     c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--deg-max", type=int, default=16)
+    c.add_argument("--deg-max", type=int, default=16,
+                   help="cap on the forced degree of each Drinfeld polynomial "
+                   "(a larger one is reported inconclusive); must be >= 0")
     c.set_defaults(func=cmd_classify)
 
     b = sub.add_parser("build", help="build and serialize modules")

@@ -32,13 +32,21 @@ def _poly_json(p: Poly):
     return [_frac_str(c) for c in p.coeffs]
 
 
+def _frac_load(x) -> Fraction:
+    """An exact rational from an int or a string like "-3/2"; floats (and
+    bools) are inexact input, not numbers of the file format."""
+    if type(x) is not int and not isinstance(x, str):
+        raise ValueError(f"a coefficient is an int or a rational string, got {x!r}")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}")
+
+
 def _poly_load(lst) -> Poly:
     if not isinstance(lst, list):
         raise ValueError(f"a polynomial is a list of coefficients, got {lst!r}")
-    try:
-        return Poly([Fraction(c) for c in lst])
-    except TypeError:
-        raise ValueError(f"bad polynomial coefficients {lst!r}")
+    return Poly([_frac_load(c) for c in lst])
 
 
 def _rf_json(f: RatFunc):
@@ -144,7 +152,7 @@ def certificate_load(d) -> Certificate:
     return Certificate(
         pair_load(d["pair"]),
         [_poly_load(p) for p in d["P"]],
-        None if d.get("gamma") is None else Fraction(d["gamma"]),
+        None if d.get("gamma") is None else _frac_load(d["gamma"]),
     )
 
 

@@ -114,18 +114,14 @@ def test_solve_p_two_step_chain():
     assert res.P == P
 
 
-def test_solve_p_uniqueness_across_degrees():
-    # whenever solve_P succeeds at degree d, no other degree <= deg_max admits
-    # a different solution
+def _solutions_by_degree(ratio, shift, degrees):
+    """Every monic P with P(u+shift) B = A P, one linear solve per degree."""
     from twyang.linalg import solve as lin_solve
 
-    a = Fraction(1, 3)
-    P = poly(-a, 1) * poly(-a - 1, 1)
-    ratio = RatFunc(P.compose_affine(1, 1), P)
+    A, B = ratio.num, ratio.den
     found = []
-    for d in range(0, 8):
-        A, B = ratio.num, ratio.den
-        base = [Poly([0] * k + [1]).compose_affine(1, 1) * B - A * Poly([0] * k + [1])
+    for d in degrees:
+        base = [Poly([0] * k + [1]).compose_affine(1, shift) * B - A * Poly([0] * k + [1])
                 for k in range(d + 1)]
         top = max((p.degree for p in base if p), default=-1)
         rows = [[base[k].coeff(e) for k in range(d)] for e in range(top + 1)]
@@ -133,9 +129,192 @@ def test_solve_p_uniqueness_across_degrees():
         sol, _ = lin_solve(rows, rhs)
         if sol is not None:
             Q = Poly(list(sol) + [Fraction(1)])
-            if not (Q.compose_affine(1, 1) * B - A * Q):
+            if not (Q.compose_affine(1, shift) * B - A * Q):
                 found.append(Q)
-    assert found == [P]
+    return found
+
+
+def _degree_search(ratio, shift, sym_center, deg_max):
+    """Oracle: the search degree by degree from deg A to deg_max, one linear
+    solve per degree.  Returns (status, P)."""
+    A, B = ratio.num, ratio.den
+    if A.degree != B.degree or A.lead != 1:
+        return "none", None
+    for d in range(A.degree, deg_max + 1):
+        found = _solutions_by_degree(ratio, shift, [d])
+        if found:
+            P = found[0]
+            if sym_center is not None and P.compose_affine(-1, sym_center) != P:
+                return "none", None
+            return "found", P
+    return "inconclusive", None
+
+
+def _random_chains(rng, count):
+    """(ratio, shift, sym_center) triples: shifted chains P(u+s)/P(u), with a
+    symmetric P = (-1)^deg Q Q(-u+c) when a center is given (sometimes the
+    wrong one), and some multiplied by a random (u+a)/(u+b)."""
+    out = []
+    for k in range(count):
+        shift = rng.choice([Fraction(1), Fraction(1, 2), Fraction(2)])
+        Q = Poly.from_roots([Fraction(rng.randint(-8, 8), rng.randint(1, 3))
+                             for _ in range(rng.randint(0, 3))])
+        sym = None
+        if k % 2:
+            sym = Fraction(rng.randint(-4, 4), rng.choice([1, 2]))
+            P = Q * Q.compose_affine(-1, sym) * Fraction((-1) ** Q.degree)
+            if rng.random() < 0.2:
+                sym += 1
+        else:
+            P = Q
+        ratio = RatFunc(P.compose_affine(1, shift), P)
+        if rng.random() < 0.4:
+            a, b = (Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(2))
+            ratio = ratio * RatFunc(poly(a, 1), poly(b, 1))
+        out.append((ratio, shift, sym))
+    return out
+
+
+def test_solve_p_uniqueness_across_degrees():
+    # whenever solve_P succeeds at degree d, no other degree <= deg_max admits
+    # a different solution
+    a = Fraction(1, 3)
+    P = poly(-a, 1) * poly(-a - 1, 1)
+    ratio = RatFunc(P.compose_affine(1, 1), P)
+    assert _solutions_by_degree(ratio, 1, range(0, 8)) == [P]
+
+
+def test_solve_p_matches_degree_search_oracle():
+    # same status and P as the search over every degree; where the search
+    # gives up at its cap, the forced degree decides "none" or names d > deg_max
+    rng = random.Random(4)
+    seen = set()
+    for ratio, shift, sym in _random_chains(rng, 90):
+        old, old_P = _degree_search(ratio, shift, sym, 8)
+        new = solve_P(ratio, shift, sym, deg_max=8)
+        seen.add((old, new.status))
+        if old == "inconclusive":
+            assert new.status == "none" or (
+                new.status == "inconclusive" and "> deg_max = 8" in new.detail
+            ), (ratio, shift, new)
+        else:
+            assert (new.status, new.P) == (old, old_P), (ratio, shift, sym)
+    assert {("found", "found"), ("none", "none"), ("inconclusive", "none")} <= seen
+
+
+def test_solve_p_forced_degree_negative_controls():
+    # d = (a_1 - b_1)/shift decides before any linear solve
+    res = solve_P(rf((Fraction(1, 3), 1), (0, 1)), 1)  # d = 1/3
+    assert res.status == "none" and "1/3" in res.detail
+    res = solve_P(rf((0, 1), (1, 1)), 1)  # u/(u+1): d = -1
+    assert res.status == "none" and "-1" in res.detail
+    res = solve_P(rf((0, 1), (1, 1)), 1, deg_max=-5)  # still "no", whatever the cap
+    assert res.status == "none"
+    # d = 2 is an integer >= deg A, but P would need the roots -2, 1/2 (from A)
+    # and 0, -3/2 (from B): no P of degree 2
+    ratio = RatFunc(poly(3, 1) * poly(Fraction(1, 2), 1), poly(0, 1) * poly(Fraction(3, 2), 1))
+    res = solve_P(ratio, 1)
+    assert res.status == "none" and "forced degree 2" in res.detail
+    assert _solutions_by_degree(ratio, 1, range(0, 17)) == []
+    # (u+20)/u forces P = u(u+1)...(u+19): past the cap it is inconclusive,
+    # naming d, and found once the cap allows it
+    ratio = rf((20, 1), (0, 1))
+    res = solve_P(ratio, 1)
+    assert res.status == "inconclusive" and "degree 20 > deg_max = 16" in res.detail
+    res = solve_P(ratio, 1, deg_max=20)
+    assert res.status == "found" and res.P == Poly.from_roots(range(0, -20, -1))
+
+
+def test_solve_p_one_linear_solve_per_call(monkeypatch):
+    import sys
+
+    from twyang.linalg import solve as lin_solve
+
+    calls = []
+
+    def counting_solve(rows, rhs):
+        calls.append(len(rows))
+        return lin_solve(rows, rhs)
+
+    # the package re-exports the function classify, so take the module itself
+    monkeypatch.setattr(sys.modules[solve_P.__module__], "solve", counting_solve)
+    rng = random.Random(5)
+    for ratio, shift, sym in _random_chains(rng, 40):
+        calls.clear()
+        res = solve_P(ratio, shift, sym)
+        assert len(calls) <= 1
+        if res.status == "found":
+            assert len(calls) == 1
+    calls.clear()
+    assert solve_P(rf((Fraction(1, 3), 1), (0, 1)), 1).status == "none" and not calls
+
+
+def _sympy_poly(sympy, p, u):
+    return sum((sympy.Rational(c.numerator, c.denominator) * u**k
+                for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+def test_rational_roots_match_sympy():
+    # SymPy as an independent oracle: the roots of the linear factors of its
+    # factorization over Q, on random integer polynomials and on products with
+    # zero, repeated and irrational roots
+    sympy = pytest.importorskip("sympy")
+    from twyang.linalg import rational_roots
+
+    u = sympy.Symbol("u")
+    rng = random.Random(6)
+    polys = []
+    for _ in range(40):
+        cs = [rng.randint(-30, 30) for _ in range(rng.randint(1, 6))] + [rng.randint(1, 9)]
+        polys.append(Poly(cs))
+    for _ in range(40):
+        roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))]
+        roots += rng.sample(roots, min(len(roots), rng.randint(0, 2)))  # repeated
+        roots += [Fraction(0)] * rng.randint(0, 2)
+        extra = Poly([rng.choice([2, 3, 5, 7]), 0, 1])  # u^2 + prime: no rational root
+        polys.append(Poly.from_roots(roots) * extra * Fraction(rng.randint(1, 6), rng.randint(1, 6)))
+    for p in polys:
+        _, factors = sympy.Poly(_sympy_poly(sympy, p, u), u).factor_list()
+        expected = sorted({Fraction(-f.nth(0)) / Fraction(f.nth(1))
+                           for f, _ in factors if f.degree() == 1})
+        assert rational_roots(p) == expected, p
+
+
+def test_found_p_satisfy_the_functional_equation_in_sympy(monkeypatch):
+    # every P that solve_P finds, on random chains and inside classify round
+    # trips, expands to P(u+s) B - A P = 0 in SymPy
+    import sys
+
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+    cl = sys.modules[solve_P.__module__]
+    found = []
+
+    def recording_solve_P(ratio, shift, *args, **kwargs):
+        res = solve_P(ratio, shift, *args, **kwargs)
+        if res.status == "found":
+            found.append((ratio, Fraction(shift), res.P))
+        return res
+
+    monkeypatch.setattr(cl, "solve_P", recording_solve_P)
+    for ratio, shift, sym in _random_chains(random.Random(7), 40):
+        recording_solve_P(ratio, shift, sym)
+    Q = poly(-1, 1)
+    certs = [
+        (Certificate(pair("CI", 2), [Q * Q.compose_affine(-1, 4) * -1], Fraction(5)), [Q]),
+        (Certificate(pair("D0", 4), [Poly((1,)), poly(Fraction(-3, 2), 1)
+                                     * poly(Fraction(-1, 2), 1)]),
+         [Poly((1,)), poly(Fraction(-3, 2), 1)]),
+    ]
+    for cert, qs in certs:
+        assert cl.classify(construct_from_cert(cert, qs)).certificate == cert
+    for m in [eval_so3(-1), eval_so4("DIII", 1, 0), eval_sp2("C0", -2)]:
+        assert cl.classify(WeightTuple(m.pair, highest_weight_extract(m).weights)).finite_dim == "yes"
+    assert len(found) > 20
+    for ratio, s, P in found:
+        A, B, Ps = (_sympy_poly(sympy, p, u) for p in (ratio.num, ratio.den, P))
+        shifted = Ps.subs(u, u + sympy.Rational(s.numerator, s.denominator))
+        assert sympy.expand(shifted * B - A * Ps) == 0, (ratio, s, P)
 
 
 def test_solve_p_symmetry_veto():

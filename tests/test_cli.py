@@ -141,3 +141,92 @@ def test_malformed_module_file_is_a_config_error(tmp_path, mutate):
     f.write_text(json.dumps(data))
     assert main(["verify", "module", "--in", str(f)]) == 2
     assert main(["weights", "--in", str(f)]) == 2
+
+
+def test_classify_forced_degree_no_control(tmp_path, capsys):
+    # C0 N=2, mu_1 = (u + 1/3)/u: P_1 would have degree -1/3, so the weight is
+    # decided "no" (a search up to --deg-max could only say inconclusive)
+    from fractions import Fraction
+
+    from twyang import serialize
+    from twyang.classify import WeightTuple
+    from twyang.exact import rf
+    from twyang.rkmat import pair
+
+    f = tmp_path / "w.json"
+    serialize.dump(WeightTuple(pair("C0", 2), {1: rf((Fraction(1, 3), 1), (0, 1))}), f)
+    assert main(["classify", "--in", str(f)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["finite_dim"] == "no" and "-1/3" in out["diagnostics"][0]
+
+
+def test_negative_deg_max_is_a_config_error(tmp_path):
+    from twyang import serialize
+    from twyang.classify import WeightTuple
+    from twyang.rkmat import pair
+
+    f = tmp_path / "w.json"
+    serialize.dump(WeightTuple(pair("C0", 2), {1: "1"}), f)
+    assert main(["classify", "--in", str(f), "--deg-max", "0"]) == 0
+    assert main(["classify", "--in", str(f), "--deg-max", "-1"]) == 2
+
+
+def _module_file():
+    from twyang import serialize
+    from twyang.reps import eval_sp2
+
+    data = serialize.module_json(eval_sp2("C0", -1))
+    data["entries"]["1,1"][0][0]["num"] = [0.1]
+    return data, [["verify", "module"], ["weights"]]
+
+
+def _weights_file():
+    from twyang import serialize
+    from twyang.classify import WeightTuple
+    from twyang.rkmat import pair
+
+    data = serialize.weights_json(WeightTuple(pair("C0", 2), {1: "1"}))
+    data["mu"]["1"]["num"] = [1.0]  # exactly 1 as a float: still inexact input
+    return data, [["classify"]]
+
+
+def _certificate_file():
+    from twyang import serialize
+    from twyang.classify import Certificate
+    from twyang.exact import Poly
+    from twyang.rkmat import pair
+
+    data = serialize.certificate_json(Certificate(pair("C0", 2), [Poly((1,))]))
+    data["P"][0] = [1.0]
+    return data, [["classify"], ["weights"], ["verify", "module"]]
+
+
+FLOAT_FILES = {"module": _module_file, "weights": _weights_file,
+               "certificate": _certificate_file}
+
+
+@pytest.mark.parametrize("make", FLOAT_FILES.values(), ids=FLOAT_FILES.keys())
+def test_float_coefficient_is_a_config_error(tmp_path, make):
+    # JSON floats are inexact: the file formats hold ints and rational strings
+    from twyang import serialize
+
+    data, commands = make()
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="int or a rational string"):
+        serialize.load(f)
+    for cmd in commands:
+        assert main(cmd + ["--in", str(f)]) == 2
+
+
+def test_bool_and_zero_denominator_coefficients_are_config_errors(tmp_path):
+    from twyang import serialize
+
+    data, _ = _weights_file()
+    for bad in ([True], ["1/0"], [None]):
+        data["mu"]["1"]["num"] = bad
+        f = tmp_path / "w.json"
+        f.write_text(json.dumps(data))
+        with pytest.raises(ValueError):
+            serialize.load(f)
+        assert main(["classify", "--in", str(f)]) == 2
