@@ -1,7 +1,10 @@
 """Exact scalar, polynomial, rational-function and truncated-series arithmetic.
 
-Everything is built on arbitrary-precision rationals (fractions.Fraction).
-The variable of polynomials is always "u".  A small quadratic extension
+Coefficients are arbitrary-precision rationals (fractions.Fraction).  The
+polynomial kernels (products, division with remainder, gcd) scale them to
+Python integers over a common denominator and build one Fraction per result
+coefficient, so results are the same canonical Fractions as plain Fraction
+arithmetic would give.  The variable of polynomials is always "u".  A small quadratic extension
 Q(sqrt 2) is provided for the one construction that genuinely needs sqrt(2);
 all arithmetic classes are duck-typed over their coefficients so Fraction and
 Sqrt2 mix freely.
@@ -11,14 +14,22 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 
 def default_series_order() -> int:
     """Truncation order for series-valued checks (12 unless the environment
     variable TWYANG_TRUNC_ORDER says otherwise)."""
     env = os.environ.get("TWYANG_TRUNC_ORDER")
-    return int(env) if env else 12
+    if not env:
+        return 12
+    try:
+        order = int(env)
+    except ValueError:
+        order = -1
+    if order < 0:
+        raise ValueError(f"TWYANG_TRUNC_ORDER must be a non-negative integer, not {env!r}")
+    return order
 
 
 def frac(x, y=None) -> Fraction:
@@ -115,6 +126,49 @@ def _is_zero(c) -> bool:
     return not c
 
 
+def _has_sqrt2(cs) -> bool:
+    return any(type(c) is Sqrt2 for c in cs)
+
+
+def _scaled(cs):
+    """(integers n, d) with cs[k] = n[k] / d for the Fractions cs, d > 0 the
+    least common denominator."""
+    d = lcm(*[c.denominator for c in cs])
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def _primitive(x):
+    """The integer polynomial x over its content, leading coefficient > 0."""
+    if not x:
+        return x
+    g = gcd(*x)
+    if x[-1] < 0:
+        g = -g
+    return [c // g for c in x] if g != 1 else x
+
+
+def _divide(r, y):
+    """(q, r, s) with s x = q y + r and deg r < deg y for integer polynomials
+    x = r (the list is consumed) and y, s a nonzero integer.  Each step takes
+    the top coefficient c of r and g = gcd(c, y[-1]), multiplies r and q by
+    y[-1]/g and subtracts (c/g) u^k y, so no coefficient leaves the integers."""
+    n, lead = len(y) - 1, y[-1]
+    q, s = [0] * (len(r) - n), 1
+    for k in range(len(r) - n - 1, -1, -1):
+        c = r.pop()
+        if c:
+            g = gcd(c, lead)
+            m, c = lead // g, c // g
+            if m != 1:
+                r, q, s = [m * t for t in r], [m * t for t in q], s * m
+            q[k] = c
+            for j in range(n):
+                r[k + j] -= c * y[j]
+    while r and not r[-1]:
+        r.pop()
+    return q, r, s
+
+
 class Poly:
     """Univariate polynomial in u, coefficients ascending by degree."""
 
@@ -125,6 +179,16 @@ class Poly:
         while cs and _is_zero(cs[-1]):
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @staticmethod
+    def _of(nums, den):
+        """The polynomial sum_k (nums[k] / den) u^k from integers, den != 0."""
+        p = Poly.__new__(Poly)
+        cs = [Fraction(c, den) for c in nums]
+        while cs and not cs[-1]:
+            cs.pop()
+        p.coeffs = tuple(cs)
+        return p
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -186,15 +250,24 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Sqrt2)):
             return Poly([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        if _has_sqrt2(a) or _has_sqrt2(b):
+            out = [Fraction(0)] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if _is_zero(x):
+                    continue
+                for j, y in enumerate(b):
+                    out[i + j] = out[i + j] + x * y
+            return Poly(out)
+        (x, dx), (y, dy) = _scaled(a), _scaled(b)
+        out = [0] * (len(x) + len(y) - 1)
+        for i, c in enumerate(x):
+            if c:
+                for j, e in enumerate(y):
+                    out[i + j] += c * e
+        return Poly._of(out, dx * dy)
 
     __rmul__ = __mul__
 
@@ -211,15 +284,21 @@ class Poly:
     def divmod(self, other):
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        q, r = Poly(), self
-        inv = 1 / other.lead
-        while r and r.degree >= other.degree:
-            k = r.degree - other.degree
-            c = r.lead * inv
-            t = Poly([0] * k + [c])
-            q = q + t
-            r = r - t * other
-        return q, r
+        a, b = self.coeffs, other.coeffs
+        n = len(b) - 1
+        if len(a) <= n:
+            return Poly(), self
+        if _has_sqrt2(a) or _has_sqrt2(b):
+            q, r = Poly(), self
+            inv = 1 / other.lead
+            while r and r.degree >= other.degree:
+                t = Poly([0] * (r.degree - n) + [r.lead * inv])
+                q = q + t
+                r = r - t * other
+            return q, r
+        (x, dx), (y, dy) = _scaled(a), _scaled(b)
+        q, r, s = _divide(x, y)
+        return Poly._of([t * dy for t in q], s * dx), Poly._of(r, s * dx)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -228,10 +307,31 @@ class Poly:
         return self.divmod(other)[1]
 
     def gcd(self, other):
-        a, b = self, other
-        while b:
-            a, b = b, a % b
-        return a.monic() if a else a
+        """Monic gcd; the zero polynomial only for gcd(0, 0).
+
+        Over Q this is the primitive polynomial remainder sequence (Knuth,
+        TAOCP vol. 2, 4.6.1) on integer coefficients: each pseudo-remainder
+        is divided by its content, so the coefficients stay as small as the
+        gcd's own, and only the last one is made monic."""
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            p = self if a else other
+            return p.monic() if p else p
+        if _has_sqrt2(a) or _has_sqrt2(b):
+            p, r = self, other
+            while r:
+                p, r = r, p % r
+            return p.monic()
+        if len(a) == 1 or len(b) == 1:
+            return P_ONE
+        x, y = _primitive(_scaled(a)[0]), _primitive(_scaled(b)[0])
+        if len(x) < len(y):
+            x, y = y, x
+        while len(y) > 1:
+            x, y = y, _primitive(_divide(x, y)[1])
+        if y:
+            return P_ONE
+        return Poly._of(x, x[-1])
 
     def lcm(self, other):
         if not self or not other:

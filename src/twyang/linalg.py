@@ -7,7 +7,7 @@ needed since the arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 def rref(rows):
@@ -165,41 +165,62 @@ def _matmul(a, b):
 
 
 def rational_roots(p):
-    """All rational roots of a polynomial with rational coefficients."""
-    if not p:
+    """All rational roots of a polynomial with rational coefficients, sorted,
+    each once (none for a constant or zero polynomial).
+
+    Let f = a u^n + ... + f_0, a > 0, be the primitive integer squarefree
+    part of p.  Its rational roots are c/a, where c is an integer root of the
+    monic h(v) = a^(n-1) f(v/a), and |c| <= B = 1 + max|h_i| (Cauchy's bound).
+    Take the first prime q for which every root of h mod q is simple
+    (h'(r) != 0 mod q); every prime not dividing the discriminant of h, which
+    is nonzero as h is squarefree, qualifies.  An integer root c of h reduces
+    to a simple root of h mod q, so the Hensel lift of c mod q to a root
+    mod q^k is unique and equals c mod q^k; with q^k > 2B its symmetric
+    residue is c itself.  Lifting every root mod q and checking each residue
+    exactly therefore finds all roots and nothing else (p-adic root finding:
+    Loos, SIAM J. Comput. 12, 1983).  The cost grows with the degree and the
+    number of digits of the coefficients, not with their size.
+    """
+    from .exact import Poly
+
+    if p.degree < 1:
         return []
-    # clear denominators to integer coefficients
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ic = [int(c * den) for c in p.coeffs]
-    while ic and ic[0] == 0:
-        ic = ic[1:]
-        # u = 0 root handled explicitly
-    roots = set()
-    if p.eval(Fraction(0)) == 0:
-        roots.add(Fraction(0))
-    if not ic:
-        return sorted(roots)
-    a0, an = abs(ic[0]), abs(ic[-1])
-    for pnum in _divisors(a0):
-        for qden in _divisors(an):
-            for cand in (Fraction(pnum, qden), Fraction(-pnum, qden)):
-                if p.eval(cand) == 0:
-                    roots.add(cand)
+    f = (p // p.gcd(Poly([k * c for k, c in enumerate(p.coeffs)][1:]))).monic()
+    den = lcm(*[c.denominator for c in f.coeffs])
+    f = [int(c * den) for c in f.coeffs]  # primitive: den is the lcm
+    n, a = len(f) - 1, f[-1]
+    h = [c * a ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
+    dh = [i * c for i, c in enumerate(h)][1:]
+    bound = 1 + max(abs(c) for c in h[:-1])
+    for q in _primes():
+        residues = [r for r in range(q) if not _horner(h, r, q)]
+        if all(_horner(dh, r, q) for r in residues):
+            break
+    roots = []
+    for r in residues:
+        m = q
+        while m <= 2 * bound:  # Newton: a root mod m is one mod m^2
+            m *= m
+            r = (r - _horner(h, r, m) * pow(_horner(dh, r, m), -1, m)) % m
+        c = r - m if 2 * r > m else r
+        if abs(c) <= bound and _horner(h, c) == 0:
+            roots.append(Fraction(c, a))
     return sorted(roots)
 
 
-def _divisors(n):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _horner(h, x, m=0):
+    """h(x) mod m for integers (h(x) itself for m = 0)."""
+    acc = 0
+    for c in reversed(h):
+        acc = (acc * x + c) % m if m else acc * x + c
+    return acc
+
+
+def _primes():
+    """2, 3, 5, 7, ... (each tested against the primes found so far)."""
+    found, q = [], 2
+    while True:
+        if all(q % p for p in found if p * p <= q):
+            found.append(q)
+            yield q
+        q += 1

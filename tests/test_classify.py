@@ -273,11 +273,53 @@ def test_rational_roots_match_sympy():
         roots += [Fraction(0)] * rng.randint(0, 2)
         extra = Poly([rng.choice([2, 3, 5, 7]), 0, 1])  # u^2 + prime: no rational root
         polys.append(Poly.from_roots(roots) * extra * Fraction(rng.randint(1, 6), rng.randint(1, 6)))
+    for _ in range(20):  # heights far past the reach of divisor enumeration
+        roots = [Fraction(rng.randint(-10**15, 10**15), rng.randint(1, 10**6))
+                 for _ in range(rng.randint(1, 3))]
+        extra = Poly([rng.randint(1, 10**20), rng.randint(-10**20, 10**20), 1])
+        polys.append(Poly.from_roots(roots) * extra * Fraction(rng.randint(1, 10**9), 7))
     for p in polys:
         _, factors = sympy.Poly(_sympy_poly(sympy, p, u), u).factor_list()
         expected = sorted({Fraction(-f.nth(0)) / Fraction(f.nth(1))
                            for f, _ in factors if f.degree() == 1})
         assert rational_roots(p) == expected, p
+
+
+def test_rational_roots_controls(monkeypatch):
+    import time
+
+    from twyang import linalg
+    from twyang.linalg import rational_roots
+
+    F = Fraction
+    assert rational_roots(Poly()) == [] and rational_roots(poly(3)) == []
+    assert rational_roots(Poly.from_roots([0, 0, F(5, 2)])) == [0, F(5, 2)]  # zero root
+    rep = Poly.from_roots([F(1, 2)] * 3 + [-3] * 2 + [F(-7, 4)]) * 12
+    assert rational_roots(rep) == [-3, F(-7, 4), F(1, 2)]  # repeated roots
+    assert rational_roots(poly(2, 0, 1)) == []  # u^2 + 2
+    lead = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29  # leading coefficient, many primes
+    roots = [F(1, 6469693230), F(-29, 2 * 3 * 5), F(11, 13 * 17), F(46, 1)]
+    p = Poly.from_roots(roots) * poly(1, 1, 1) * lead
+    assert p.lead == lead and rational_roots(p) == sorted(roots)
+    # roots 1, 3, 7 meet mod 2 and mod 3 (a double root there), so the prime
+    # search has to go on to 5
+    primes, real_primes = [], linalg._primes
+
+    def recording_primes():
+        for q in real_primes():
+            primes.append(q)
+            yield q
+
+    monkeypatch.setattr(linalg, "_primes", recording_primes)
+    assert rational_roots(Poly.from_roots([1, 3, 7])) == [1, 3, 7]
+    assert primes == [2, 3, 5]
+    # a constant term of 1e30: divisor enumeration would need ~1e15 steps
+    r = F(10**15 + 37, 7)
+    p = Poly.from_roots([r, -r]) * poly(3, 0, 1)
+    t0 = time.perf_counter()
+    assert rational_roots(p) == [-r, r]
+    assert rational_roots(Poly.from_roots([r, -r]) * 49) == [-r, r]
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_found_p_satisfy_the_functional_equation_in_sympy(monkeypatch):

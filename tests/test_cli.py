@@ -160,6 +160,35 @@ def test_classify_forced_degree_no_control(tmp_path, capsys):
     assert out["finite_dim"] == "no" and "-1/3" in out["diagnostics"][0]
 
 
+def test_classify_large_height_certificate_does_not_hang(tmp_path):
+    # CI N=2 weights whose Q_1 roots and gamma have height ~1e15: the gamma
+    # candidates are rational roots of a numerator with a ~1e45 constant term,
+    # out of reach of divisor enumeration; the certificate must come back
+    import subprocess
+    import sys
+    from fractions import Fraction
+
+    import twyang
+    from twyang import serialize
+    from twyang.classify import Certificate, construct_from_cert
+    from twyang.exact import Poly
+    from twyang.rkmat import pair
+
+    Q = Poly.from_roots([Fraction(10**15 + 37), Fraction(-(10**15 + 91), 3)])
+    P = Q * Q.compose_affine(-1, Fraction(4))
+    cert = Certificate(pair("CI", 2), [P], gamma=Fraction(10**15 + 3, 7))
+    f = tmp_path / "w.json"
+    serialize.dump(construct_from_cert(cert, [Q]), f)
+    src = os.path.dirname(os.path.dirname(twyang.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "twyang.cli", "classify", "--in", str(f)],
+                         capture_output=True, text=True, timeout=60, env=env)
+    assert out.returncode == 0, out.stderr
+    verdict = json.loads(out.stdout)
+    assert verdict["finite_dim"] == "yes"
+    assert verdict["certificate"] == {"P": [str(P)], "gamma": str(cert.gamma)}
+
+
 def test_negative_deg_max_is_a_config_error(tmp_path):
     from twyang import serialize
     from twyang.classify import WeightTuple

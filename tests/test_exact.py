@@ -155,6 +155,12 @@ def test_default_series_order_env(monkeypatch):
     assert default_series_order() == 12
     monkeypatch.setenv("TWYANG_TRUNC_ORDER", "20")
     assert default_series_order() == 20
+    monkeypatch.setenv("TWYANG_TRUNC_ORDER", "0")
+    assert default_series_order() == 0
+    for bad in ("abc", "-3", "2.5", "1/2"):
+        monkeypatch.setenv("TWYANG_TRUNC_ORDER", bad)
+        with pytest.raises(ValueError, match="TWYANG_TRUNC_ORDER"):
+            default_series_order()
 
 
 def test_series_rejects_unbounded():
@@ -265,3 +271,118 @@ def test_sqrt2_field():
     inv = Sqrt2(1, 1).inverse()
     assert inv * Sqrt2(1, 1) == 1
     assert Sqrt2(Fraction(1, 2), 0).is_rational
+
+
+# ---------------------------------------------------------------------------
+# Poly kernels (scaled integers) against the plain Fraction algorithms
+# ---------------------------------------------------------------------------
+
+
+def oracle_mul(a, b):
+    out = [Fraction(0)] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        if not x:
+            continue
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Poly(out)
+
+
+def oracle_divmod(a, b):
+    q, r = Poly(), a
+    inv = 1 / b.lead
+    while r and r.degree >= b.degree:
+        t = Poly([0] * (r.degree - b.degree) + [r.lead * inv])
+        q = q + t
+        r = r - oracle_mul(t, b)
+    return q, r
+
+
+def oracle_gcd(a, b):
+    while b:
+        a, b = b, oracle_divmod(a, b)[1]
+    return a * (1 / a.lead) if a else a
+
+
+def same(p, q):
+    """Equal coefficient tuples, coefficient types included."""
+    return p.coeffs == q.coeffs and list(map(type, p.coeffs)) == list(map(type, q.coeffs))
+
+
+def kernel_pairs(rng):
+    """Operand pairs: random, zero and constant, non-monic, heights up to
+    1e40, coprime, and with a known common factor (returned as a third item)."""
+    def tall(deg, h):
+        return Poly([Fraction(rng.randint(-h, h), rng.randint(1, h)) for _ in range(deg + 1)])
+
+    pairs = [(rand_poly(rng, 6), rand_poly(rng, 4), None) for _ in range(60)]
+    x = rand_poly(rng, 3) or poly(1, 2)
+    pairs += [(Poly(), x, None), (x, Poly(), None), (Poly(), Poly(), None),
+              (poly(Fraction(-3, 7)), x, None), (x, poly(5), None), (poly(2), poly(3), None)]
+    for _ in range(30):
+        g = tall(rng.randint(1, 3), 10**rng.choice((1, 12, 40)))
+        a, b = tall(rng.randint(0, 4), 10**40), tall(rng.randint(0, 4), 10**40)
+        pairs.append((a, b, None))
+        pairs.append((g * a, g * b, g))
+    # coprime by construction: distinct rational roots, non-monic
+    pairs += [(Poly.from_roots([1, Fraction(-2, 3)]) * 5, Poly.from_roots([2, 7]) * Fraction(-1, 9), None),
+              (poly(1, 0, 1), poly(-2, 0, 1), None)]
+    return pairs
+
+
+def test_poly_kernels_match_fraction_oracle():
+    rng = random.Random(11)
+    for a, b, g in kernel_pairs(rng):
+        assert same(a * b, oracle_mul(a, b))
+        if b:
+            q, r = a.divmod(b)
+            oq, orr = oracle_divmod(a, b)
+            assert same(q, oq) and same(r, orr)
+            assert q * b + r == a and r.degree < b.degree
+        d = a.gcd(b)
+        assert same(d, oracle_gcd(a, b))
+        if g is not None and a and b:
+            assert not d % g  # the known common factor divides the gcd
+    assert poly(1, 0, 1).gcd(poly(-2, 0, 1)) == poly(1)
+    assert Poly().gcd(Poly()) == Poly()
+
+
+def test_poly_kernels_sqrt2_fallback():
+    # Q(sqrt 2) coefficients take the generic path; results equal the oracle
+    rng = random.Random(12)
+    s2 = lambda: Sqrt2(rand_rat(rng), rand_rat(rng))  # noqa: E731
+    for _ in range(20):
+        a = Poly([s2() for _ in range(rng.randint(1, 5))])
+        b = Poly([s2() for _ in range(rng.randint(1, 3))]) or Poly([Sqrt2(1, 1)])
+        c = rand_poly(rng, 3)  # rational: a mixed product still takes the generic path
+        for x, y in ((a, b), (a, c), (c, a)):
+            assert same(x * y, oracle_mul(x, y))
+            if y:
+                q, r = x.divmod(y)
+                oq, orr = oracle_divmod(x, y)
+                assert same(q, oq) and same(r, orr)
+                assert q * y + r == x and r.degree < y.degree
+            assert same(x.gcd(y), oracle_gcd(x, y))
+    h = Poly([Sqrt2(-1, 1), 1])  # u + sqrt2 - 1
+    assert (h * Poly([1, 1])).gcd(h * Poly([3, 2])) == h
+
+
+def test_poly_kernels_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+
+    def sp(p):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(p.coeffs)] or [0], u, domain="QQ")
+
+    def back(s):
+        return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(s.all_coeffs())])
+
+    rng = random.Random(13)
+    for a, b, _ in kernel_pairs(rng):
+        assert a * b == back(sp(a) * sp(b))
+        if b:
+            q, r = sympy.div(sp(a), sp(b))
+            assert a.divmod(b) == (back(q), back(r))
+        if a or b:
+            assert a.gcd(b) == back(sympy.gcd(sp(a), sp(b)).monic())
