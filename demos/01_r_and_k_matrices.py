@@ -23,12 +23,16 @@ from twyang import (
     verify_r_matrix,
 )
 
-# The structural operators: P^2 = I, Q^2 = N Q, PQ = QP = +-Q.
+# The structural operators.  P = sum E_ik (x) E_ki is the permutation matrix
+# of (i, k) -> (k, i), so P^2 = I, and P Q is Q with row (i, k) read at row
+# (k, i); for the symplectic Q that is -Q.
 P = op_P(4)
 Q = op_Q(4, "symplectic")
-print("P^2 = I:", (P @ P) == P @ P @ P @ P)
-print("Q^2 = N Q:", (Q @ Q) == Q.scale(Fraction(4)))
-print("P Q = -Q (symplectic):", (P @ Q) == Q.scale(Fraction(-1)))
+swap = {c: r for (r, c), v in P.data.items() if v == 1}
+print("P^2 = I:", len(swap) == len(P.data) == len(P.labels)
+      and all(swap[swap[r]] == r for r in swap))
+print("P Q = -Q (symplectic):",
+      all(Q[((k, i), c)] == -v for ((i, k), c), v in Q.data.items()))
 
 # Yang-Baxter for the orthogonal so_5 R-matrix (kappa = 3/2).
 print()

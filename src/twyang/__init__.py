@@ -30,7 +30,7 @@ from .rkmat import (
     verify_k_matrix,
     verify_r_matrix,
 )
-from .tensors import IndexSet, LabeledMatrix, kron, leg_embed, op_P, op_Q, theta
+from .tensors import IndexSet, LabeledMatrix, op_P, op_Q, theta
 from .liealg import (
     LieModule,
     gl1_module,

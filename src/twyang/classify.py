@@ -452,16 +452,12 @@ def check_mr(mu: dict, q_tilde: int, deg_max: int = 16):
 # ---------------------------------------------------------------------------
 
 
-def mu_factorize_b0(mu0: RatFunc, mu1: RatFunc, order: int | None = None) -> TruncSeries:
+def mu_factorize_b0(mu0: RatFunc, mu1: RatFunc, order: int = 12) -> TruncSeries:
     """The series mu0(u) with tmu_1(u) = 2u mu0(2u) mu0(2u-1) and
     tmu_0(u) = 2u mu0(2u) mu0(1-2u), for a rank-one type-B weight pair.
 
     Both hypotheses are verified exactly before factoring, and the
     factorization is re-multiplied and checked through the given order."""
-    if order is None:
-        from .exact import default_series_order
-
-        order = default_series_order()
     pt = pair("B0", 3)
     wt = WeightTuple(pt, {0: mu0, 1: mu1})
     tt = tilde(wt).tmu

@@ -11,12 +11,12 @@
     twyang build restrict --op vplus --in m.json --out r.json
 
 Exit codes: 0 pass, 1 identity failure, 2 config error, 3 inconclusive.
-The environment variable TWYANG_TRUNC_ORDER overrides the series order.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -252,8 +252,14 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of `main` in a process."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as e:

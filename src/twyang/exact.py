@@ -12,24 +12,8 @@ Sqrt2 mix freely.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import comb, gcd, lcm
-
-
-def default_series_order() -> int:
-    """Truncation order for series-valued checks (12 unless the environment
-    variable TWYANG_TRUNC_ORDER says otherwise)."""
-    env = os.environ.get("TWYANG_TRUNC_ORDER")
-    if not env:
-        return 12
-    try:
-        order = int(env)
-    except ValueError:
-        order = -1
-    if order < 0:
-        raise ValueError(f"TWYANG_TRUNC_ORDER must be a non-negative integer, not {env!r}")
-    return order
 
 
 def frac(x, y=None) -> Fraction:

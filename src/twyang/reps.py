@@ -34,6 +34,8 @@ from .tensors import ORTHOGONAL, SYMPLECTIC, theta
 from .verify import (
     OperatorMatrix,
     _convolve,
+    _lincomb,
+    _symmetry_report,
     check_mr_commutators,
     check_olshanskii_commutators,
     check_rtt_commutators,
@@ -79,17 +81,6 @@ class OlshanskiiModule:
     @property
     def dim(self):
         return self.op.dim
-
-
-def _lincomb(terms):
-    """sum_t p_t(u) c_t(u) for scalar polynomials p_t and coefficient arrays
-    c_t (coefficients along axis 0)."""
-    parts = [_convolve(np.array(p.coeffs, dtype=object), c, np.multiply)
-             for p, c in terms if p]
-    out = np.zeros_like(max(parts, key=len))
-    for x in parts:
-        out[: len(x)] += x
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -507,35 +498,6 @@ def tensor_twisted(x: XModule, v: TwistedModule) -> TwistedModule:
 # ---------------------------------------------------------------------------
 # verification of twisted modules
 # ---------------------------------------------------------------------------
-
-
-def _symmetry_report(name, op: OperatorMatrix, kappa, sign_refl, sign_pm, trace_g=None):
-    """theta_ij s_{-j,-i}(u) = sign_refl s_ij(k-u) + sign_pm (s_ij(u) - s_ij(k-u))/(2u-k)
-    [+ (Tr G(u) s_ij(k-u) - delta_ij sum_k s_kk(u))/(2u-2k) when trace_g = Tr G],
-    checked on the numerators after multiplying through by
-    den(u) den(k-u) (2u-k) [(2u-2k) den Tr G(u)]; one witness per failing (i, j)."""
-    rep = Report(name)
-    ka = Fraction(kappa)
-    refl = op.substitute(-1, ka)
-    c, cr, den, denr = op.coeffs(), refl.coeffs(), op.den, refl.den
-    a = poly(-ka, 2)
-    b = P_ONE if trace_g is None else poly(-2 * ka, 2) * trace_g.den
-    labs = op.labels
-    pos = {l: k for k, l in enumerate(labs)}
-    neg = [pos[-l] for l in labs]
-    th = np.array([[theta(op.family, i, j) for j in labs] for i in labs], dtype=object)
-    flipped = c[:, neg][:, :, neg].transpose(0, 2, 1, 3, 4) * th[None, :, :, None, None]
-    terms = [(denr * a * b, flipped), (-sign_refl * den * a * b, cr),
-             (-sign_pm * denr * b, c), (sign_pm * den * b, cr)]
-    if trace_g is not None:
-        diag = np.arange(len(labs))
-        tr = np.zeros_like(c)
-        tr[:, diag, diag] = c[:, diag, diag].sum(axis=1)[:, None]
-        terms += [(-trace_g.num * den * a, cr), (denr * a * trace_g.den, tr)]
-    bad = _lincomb(terms).astype(bool).any(axis=(0, 3, 4))
-    for i, j in zip(*np.nonzero(bad)):
-        rep.fail(((labs[i], labs[j]), "symmetry relation violated"))
-    return rep
 
 
 def check_twisted_symmetry(m: TwistedModule) -> Report:

@@ -21,7 +21,13 @@ from .tensors import (
     op_P,
     op_Q,
 )
-from .verify import OperatorMatrix, Report, check_relation
+from .verify import (
+    OperatorMatrix,
+    Report,
+    _symmetry_report,
+    check_relation,
+    scalar_product_with_reflected,
+)
 
 GL = "gl"
 
@@ -268,66 +274,59 @@ def k_one_param(pt: PairType, a) -> LabeledMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _coeffs(m: LabeledMatrix, labels):
-    """The engine coefficients of m as an operator matrix over `labels`: a
-    one-leg K acts on C (dim 1), a two-leg R on leg (x) C^N, with
-    s_ij[k, l] = R[(i, k), (j, l)]."""
+def _operator(m: LabeledMatrix, family=None) -> OperatorMatrix:
+    """m as an operator matrix over its one-leg labels: a one-leg K acts on C
+    (dim 1), a two-leg R on leg (x) C^N, with s_ij[k, l] = R[(i, k), (j, l)]."""
+    labels = sorted({l[0] for l in m.labels})
     d = len(labels) if m.legs == 2 else 1
     pos = {l: k for k, l in enumerate(labels)}
     s = {}
     for (r, c), v in m.data.items():
         e = s.setdefault((r[0], c[0]), np.full((d, d), RF_ZERO, dtype=object))
         e[(pos[r[1]], pos[c[1]]) if d > 1 else (0, 0)] = v
-    return OperatorMatrix.from_entries(labels, None, d, s).coeffs()
+    return OperatorMatrix.from_entries(labels, family, d, s)
 
 
 def check_yang_baxter(R: LabeledMatrix) -> Report:
     """R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u), exactly; checked as
     R12(u-v) R13(u) R23(v) = R23(v) R13(u) R12(u-v), with X = R on leg (x) C^N."""
-    one_leg = sorted({l[0] for l in R.labels})
-    r = _coeffs(R, one_leg)
-    return check_relation("yang-baxter", one_leg, r, r,
-                          entry_labels=[(l,) for l in one_leg])
+    r = _operator(R)
+    x = r.coeffs()
+    return check_relation("yang-baxter", r.labels, x, x,
+                          entry_labels=[(l,) for l in r.labels])
 
 
 def check_reflection(R: LabeledMatrix, K: LabeledMatrix) -> Report:
     """R(u-v) K1(u) R(u+v) K2(v) = K2(v) R(u+v) K1(u) R(u-v), exactly."""
-    one_leg = sorted({l[0] for l in K.labels})
-    r = _coeffs(R, one_leg)
-    return check_relation("reflection", one_leg, r, _coeffs(K, one_leg), r,
-                          entry_labels=[()])
+    k = _operator(K)
+    r = _operator(R).coeffs()
+    return check_relation("reflection", k.labels, r, k.coeffs(), r, entry_labels=[()])
 
 
 def check_twisted_reflection(R: LabeledMatrix, K: LabeledMatrix, family: str) -> Report:
     """R(u-v) K1(u) R^t(-u-v) K2(v) = K2(v) R^t(-u-v) K1(u) R(u-v), exactly."""
-    one_leg = sorted({l[0] for l in K.labels})
+    k = _operator(K)
     rt = R.partial_transpose(1, family).map_values(lambda v: v.reflect())
-    return check_relation("twisted-reflection", one_leg, _coeffs(R, one_leg),
-                          _coeffs(K, one_leg), _coeffs(rt, one_leg),
-                          entry_labels=[()])
+    return check_relation("twisted-reflection", k.labels, _operator(R).coeffs(),
+                          k.coeffs(), _operator(rt).coeffs(), entry_labels=[()])
+
+
+def _check_product(name, X: LabeledMatrix, w_expected: RatFunc) -> Report:
+    w, rep = scalar_product_with_reflected(_operator(X))
+    rep.name = name
+    if w is not None and w != w_expected:
+        rep.fail(("w(u)", w))
+    return rep
 
 
 def check_unitarity(K: LabeledMatrix) -> Report:
     """K(u) K(-u) = I, exactly."""
-    rep = Report("unitarity")
-    k_neg = K.map_values(lambda v: v.reflect())
-    prod = K @ k_neg
-    ident = LabeledMatrix.identity(K.labels, RatFunc.of(1))
-    for k, v in (prod - ident).nonzero_items():
-        rep.fail((k, v))
-    return rep
+    return _check_product("unitarity", K, RatFunc.of(1))
 
 
 def check_r_unitarity(R: LabeledMatrix) -> Report:
-    """R(u) R(-u) = (1 - u^-2) I, exactly."""
-    rep = Report("r-unitarity")
-    r_neg = R.map_values(lambda v: v.reflect())
-    prod = R @ r_neg
-    s = RatFunc(poly(-1, 0, 1), poly(0, 0, 1))  # 1 - u^-2
-    ident = LabeledMatrix.identity(R.labels, RatFunc.of(1)).scale(s)
-    for k, v in (prod - ident).nonzero_items():
-        rep.fail((k, v))
-    return rep
+    """R(u) R(-u) = (1 - u^-2) I, exactly, with R an operator matrix on leg (x) C^N."""
+    return _check_product("r-unitarity", R, RatFunc(poly(-1, 0, 1), poly(0, 0, 1)))
 
 
 def p_scalar(K: LabeledMatrix, pt: PairType) -> RatFunc:
@@ -355,38 +354,21 @@ def check_p_identity(K: LabeledMatrix, pt: PairType) -> Report:
     return rep
 
 
-def check_symmetry(K: LabeledMatrix, pt: PairType, one_param: bool = False) -> Report:
-    """The K-matrix symmetry identity, exactly.
+def check_symmetry(K: LabeledMatrix, pt: PairType) -> Report:
+    """The K-matrix symmetry identity, exactly:
 
-    For one_param=True the variant for G + a/u I is checked:
-      K^t(u) = -K(k-u) +- (K(u)-K(k-u))/(2u-k) - Tr K(u) I/(2u-2k).
-    Otherwise:
       K^t(u) = (+-)K(k-u) +- (K(u)-K(k-u))/(2u-k)
-               + (Tr K(u) K(k-u) - Tr K(u) I)/(2u-2k).
+               + (Tr G(u) K(k-u) - Tr K(u) I)/(2u-2k),
+
+    the symmetry relation of the one-dimensional module S(u) -> K(u), with G
+    the pair's G-matrix.  For K = G this is the identity of G; for the
+    one-parameter K = G + a/u I of CI and DIII, where Tr G = 0 and (+-) = -1,
+    it reads K^t(u) = -K(k-u) +- (K(u)-K(k-u))/(2u-k) - Tr K(u) I/(2u-2k).
     """
-    rep = Report("k-symmetry")
     if pt.tag == "AIII":
         raise ValueError("the symmetry identity is for the B-C-D families only")
-    ka = pt.kappa
-    fam = pt.family
-    kt = K.transpose_t(fam)
-    k_ref = K.map_values(lambda v: v.reflect(ka))
-    ident = LabeledMatrix.identity(K.labels, RatFunc.of(1))
-    inv1 = RatFunc(P_ONE, poly(-ka, 2))
-    inv2 = RatFunc(P_ONE, poly(-2 * ka, 2))
-    tr = K.trace()
-    mid = (K - k_ref).scale(RatFunc.of(pt.sign_pm) * inv1)
-    if one_param:
-        rhs = k_ref.scale(RatFunc.of(-1)) + mid - ident.scale(RatFunc.of(tr) * inv2)
-    else:
-        rhs = (
-            k_ref.scale(RatFunc.of(pt.sign_ci_diii))
-            + mid
-            + (k_ref.scale(RatFunc.of(tr)) - ident.scale(RatFunc.of(tr))).scale(inv2)
-        )
-    for k, v in (kt - rhs).nonzero_items():
-        rep.fail((k, v))
-    return rep
+    return _symmetry_report("k-symmetry", _operator(K, pt.family), pt.kappa,
+                            pt.sign_ci_diii, pt.sign_pm, g_matrix(pt).trace())
 
 
 def verify_k_matrix(pt: PairType, a=None) -> Report:
@@ -398,7 +380,7 @@ def verify_k_matrix(pt: PairType, a=None) -> Report:
     if a is None:
         rep.merge(check_unitarity(K))
     if pt.tag != "AIII":
-        rep.merge(check_symmetry(K, pt, one_param=a is not None))
+        rep.merge(check_symmetry(K, pt))
         if a is None:
             rep.merge(check_p_identity(K, pt))
     return rep

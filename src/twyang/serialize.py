@@ -76,7 +76,10 @@ def _positive_int(x, what) -> int:
 
 
 def pair_load(d) -> PairType:
-    return PairType(d["tag"], _positive_int(d["N"], "N"), d.get("p"), d.get("q"))
+    if not isinstance(d, dict):
+        raise ValueError(f"field 'pair' must be an object with tag and N, got {d!r}")
+    p, q = (None if d.get(k) is None else _positive_int(d[k], k) for k in ("p", "q"))
+    return PairType(d["tag"], _positive_int(d["N"], "N"), p, q)
 
 
 def module_json(m) -> dict:
@@ -136,8 +139,11 @@ def weights_json(wt: WeightTuple) -> dict:
 
 def weights_load(d) -> WeightTuple:
     pt = pair_load(d["pair"])
-    mu = {int(i): _rf_load(v) for i, v in d["mu"].items()}
-    return WeightTuple(pt, mu)
+    mu, keys = d["mu"], [str(i) for i in pt.i_range]
+    if not isinstance(mu, dict) or set(mu) != set(keys):
+        got = sorted(mu) if isinstance(mu, dict) else mu
+        raise ValueError(f"field 'mu' must be an object with the keys {keys} of {pt}, got {got!r}")
+    return WeightTuple(pt, {i: _rf_load(mu[str(i)]) for i in pt.i_range})
 
 
 def certificate_json(c: Certificate) -> dict:

@@ -1,9 +1,10 @@
-"""Signed-index labeled matrices, Kronecker products and the operators P, Q.
+"""Signed indices, theta, and the labeled matrices R and K are built from.
 
 Rows and columns are labeled by the signed index set {-n..n} (0 present iff
 N is odd); multi-leg matrices carry tuples of signed indices.  Storage is a
 mapping {(row_label, col_label): value} with zeros omitted, so the entry
-ring is anything with +, -, * and truthiness (Fraction, RatFunc...).
+ring is anything with +, * and truthiness (Fraction, RatFunc...).  It has
+no products: identities are checked on `verify.OperatorMatrix` arrays.
 """
 
 from __future__ import annotations
@@ -77,10 +78,6 @@ class LabeledMatrix:
             m.data[(l, l)] = one
         return m
 
-    @staticmethod
-    def unit(labels, r, c, value=Fraction(1)):
-        return LabeledMatrix(labels, {(r, c): value})
-
     # -- basic structure -------------------------------------------------
     @property
     def legs(self):
@@ -90,19 +87,10 @@ class LabeledMatrix:
         r, c = rc
         return self.data.get((_as_label(r), _as_label(c)), Fraction(0))
 
-    def __iter__(self):
-        return iter(self.data.items())
-
-    def __bool__(self):
-        return bool(self.data)
-
     def __eq__(self, other):
         if not isinstance(other, LabeledMatrix):
             return NotImplemented
         return self.labels == other.labels and self.data == other.data
-
-    def copy(self):
-        return LabeledMatrix(self.labels, dict(self.data))
 
     def map_values(self, f):
         out = LabeledMatrix(self.labels)
@@ -112,11 +100,11 @@ class LabeledMatrix:
                 out.data[k] = w
         return out
 
-    # -- ring operations ---------------------------------------------------
+    # -- sums, transposes, traces -----------------------------------------
     def __add__(self, other):
         if self.labels != other.labels:
             raise ValueError("label mismatch")
-        out = self.copy()
+        out = LabeledMatrix(self.labels, self.data)
         for k, v in other.data.items():
             s = out.data.get(k)
             s = v if s is None else s + v
@@ -124,65 +112,6 @@ class LabeledMatrix:
                 out.data[k] = s
             else:
                 out.data.pop(k, None)
-        return out
-
-    def __neg__(self):
-        return self.map_values(lambda v: -v)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        if not s:
-            return LabeledMatrix(self.labels)
-        return self.map_values(lambda v: s * v)
-
-    def __matmul__(self, other):
-        if self.labels != other.labels:
-            raise ValueError("label mismatch")
-        cols = {}
-        for (r, c), v in other.data.items():
-            cols.setdefault(r, []).append((c, v))
-        out = LabeledMatrix(self.labels)
-        acc = out.data
-        for (r, k), a in self.data.items():
-            hits = cols.get(k)
-            if not hits:
-                continue
-            for c, b in hits:
-                key = (r, c)
-                s = acc.get(key)
-                p = a * b
-                s = p if s is None else s + p
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return out
-
-    # -- tensor structure ---------------------------------------------------
-    def kron(self, other):
-        labels = tuple(a + b for a in self.labels for b in other.labels)
-        out = LabeledMatrix(labels)
-        for (r1, c1), v1 in self.data.items():
-            for (r2, c2), v2 in other.data.items():
-                p = v1 * v2
-                if p:
-                    out.data[(r1 + r2, c1 + c2)] = p
-        return out
-
-    def transpose_t(self, family):
-        """Full transpose: entry (i,j) of the result is theta_ji * A[-j,-i]."""
-        out = LabeledMatrix(self.labels)
-        for (r, c), v in self.data.items():
-            nr = tuple(-x for x in c)
-            nc = tuple(-x for x in r)
-            th = 1
-            for a, b in zip(nr, nc):
-                th *= theta(family, b, a)
-            w = th * v if th != 1 else v
-            if w:
-                out.data[(nr, nc)] = w
         return out
 
     def partial_transpose(self, leg, family):
@@ -202,9 +131,6 @@ class LabeledMatrix:
                 out.data[(tuple(nr), tuple(nc))] = w
         return out
 
-    def is_diagonal(self):
-        return all(r == c for (r, c) in self.data)
-
     def trace(self):
         s = None
         for l in self.labels:
@@ -213,16 +139,9 @@ class LabeledMatrix:
                 s = v if s is None else s + v
         return s if s is not None else Fraction(0)
 
-    def nonzero_items(self):
-        return sorted(self.data.items(), key=lambda kv: kv[0])
-
     def __repr__(self):
-        ent = ", ".join(f"{r}->{c}: {v}" for (r, c), v in self.nonzero_items())
+        ent = ", ".join(f"{r}->{c}: {v}" for (r, c), v in sorted(self.data.items()))
         return f"LabeledMatrix[{self.legs} leg(s), {len(self.labels)} labels]({ent})"
-
-
-def kron(a: LabeledMatrix, b: LabeledMatrix) -> LabeledMatrix:
-    return a.kron(b)
 
 
 def op_P(N: int) -> LabeledMatrix:
@@ -247,41 +166,3 @@ def op_Q(N: int, family: str) -> LabeledMatrix:
         for j in idx.labels():
             m.data[((i, -i), (j, -j))] = Fraction(theta(family, i, j))
     return m
-
-
-def leg_embed(a: LabeledMatrix, leg: int, total_legs: int, one_leg_labels) -> LabeledMatrix:
-    """Place a one-leg matrix on leg `leg` of a total_legs-fold tensor space."""
-    if a.legs != 1:
-        raise ValueError("leg_embed places one-leg matrices")
-    if not 1 <= leg <= total_legs:
-        raise ValueError("leg out of range")
-    return place_on_legs(a, (leg,), total_legs, one_leg_labels)
-
-
-def place_on_legs(a: LabeledMatrix, legs, total_legs: int, one_leg_labels) -> LabeledMatrix:
-    """Place a k-leg matrix on the given legs (1-based, increasing), identity elsewhere."""
-    legs = tuple(legs)
-    if len(legs) != a.legs:
-        raise ValueError("number of target legs must match the matrix")
-    if any(not 1 <= l <= total_legs for l in legs) or len(set(legs)) != len(legs):
-        raise ValueError("bad leg placement")
-    base = [tuple(_as_label(l)) for l in one_leg_labels]
-    other = [l for l in range(1, total_legs + 1) if l not in legs]
-
-    import itertools
-
-    labels = list(itertools.product(*([b[0] for b in base],) * total_legs))
-    out = LabeledMatrix(labels)
-    pos = {l: i for i, l in enumerate(legs, start=0)}
-    for rest in itertools.product(*([b[0] for b in base],) * len(other)):
-        for (r, c), v in a.data.items():
-            rr = [None] * total_legs
-            cc = [None] * total_legs
-            for i, l in enumerate(legs):
-                rr[l - 1] = r[i]
-                cc[l - 1] = c[i]
-            for i, l in enumerate(other):
-                rr[l - 1] = rest[i]
-                cc[l - 1] = rest[i]
-            out.data[(tuple(rr), tuple(cc))] = v
-    return out

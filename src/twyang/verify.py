@@ -24,6 +24,13 @@ every partial product (the product of the factors' row-sum norms over the
 grid) stays below 2^63, and Python integers otherwise; there are no floats.
 Coefficients in Q(sqrt 2) go through the injective ring map
 a + b sqrt2 -> [[a, 2b], [b, a]], which doubles the dimension of V.
+
+The product identity X(u) X(-u) = w(u) I (unitarity of K and R, the unitary
+scalar of a module) is decided on the D + 1 integer points -D/2 .. D/2,
+D = 2 (slots - 1) >= deg num(u) num(-u), by `scalar_product_with_reflected`.
+The symmetry relations, linear in X, are checked on the numerator
+coefficients by `_symmetry_report`.  A K-matrix enters both as the
+one-dimensional module S(u) -> K(u).
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from .exact import P_ONE, Poly, RatFunc, Sqrt2
+from .exact import P_ONE, Poly, RatFunc, Sqrt2, poly
 from .tensors import theta
 
 
@@ -252,14 +259,14 @@ def _rational_blocks(c):
 
 
 def _integral(c):
-    """c scaled by the lcm of its denominators, as Python ints, with trailing
-    zero coefficients (axis 0) dropped."""
+    """(c scaled by the lcm of its denominators, as Python ints, with trailing
+    zero coefficients (axis 0) dropped; that lcm)."""
     flat = c.ravel().tolist()
     scale = lcm(*(x.denominator for x in flat if x))
     out = np.array([x.numerator * (scale // x.denominator) if x else 0 for x in flat],
                    dtype=object).reshape(c.shape)
     top = max((p for p in range(len(out)) if any(out[p].flat)), default=0)
-    return out[: top + 1]
+    return out[: top + 1], scale
 
 
 def _norm(c, w) -> int:
@@ -290,11 +297,11 @@ def check_relation(name, labels, A, X, B=None, entry_labels=None) -> Report:
     """
     rep = Report(name)
     N = len(labels)
-    x = _integral(_rational_blocks(X))
+    x, _ = _integral(_rational_blocks(X))
     d = x.shape[-1]
     x = x.transpose(0, 1, 3, 2, 4).reshape(-1, N * d, N * d)  # rows (i, r)
     a, b = (None if F is None else
-            _integral(F).transpose(0, 1, 3, 2, 4).reshape(-1, N * N, N * N)  # rows (i, k)
+            _integral(F)[0].transpose(0, 1, 3, 2, 4).reshape(-1, N * N, N * N)  # rows (i, k)
             for F in (A, B))
     D = len(x) + len(a) - 2 + (0 if b is None else len(b) - 1)
     lo, hi = -(D // 2), (D + 1) // 2
@@ -413,38 +420,113 @@ def check_mr_commutators(op: OperatorMatrix) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# unitary scalar S(u) S(-u) = w(u) I
+# the symmetry relation, linear in S
 # ---------------------------------------------------------------------------
 
 
+def _lincomb(terms):
+    """sum_t p_t(u) c_t(u) for scalar polynomials p_t and coefficient arrays
+    c_t (coefficients along axis 0)."""
+    parts = [_convolve(np.array(p.coeffs, dtype=object), c, np.multiply)
+             for p, c in terms if p]
+    out = np.zeros_like(max(parts, key=len))
+    for x in parts:
+        out[: len(x)] += x
+    return out
+
+
+def _symmetry_report(name, op: OperatorMatrix, kappa, sign_refl, sign_pm, trace_g=None):
+    """theta_ij s_{-j,-i}(u) = sign_refl s_ij(k-u) + sign_pm (s_ij(u) - s_ij(k-u))/(2u-k)
+    [+ (Tr G(u) s_ij(k-u) - delta_ij sum_k s_kk(u))/(2u-2k) when trace_g = Tr G],
+    checked on the numerators after multiplying through by
+    den(u) den(k-u) (2u-k) [(2u-2k) den Tr G(u)]; one witness per failing (i, j)."""
+    rep = Report(name)
+    ka = Fraction(kappa)
+    refl = op.substitute(-1, ka)
+    c, cr, den, denr = op.coeffs(), refl.coeffs(), op.den, refl.den
+    a = poly(-ka, 2)
+    b = P_ONE if trace_g is None else poly(-2 * ka, 2) * trace_g.den
+    labs = op.labels
+    pos = {l: k for k, l in enumerate(labs)}
+    neg = [pos[-l] for l in labs]
+    th = np.array([[theta(op.family, i, j) for j in labs] for i in labs], dtype=object)
+    flipped = c[:, neg][:, :, neg].transpose(0, 2, 1, 3, 4) * th[None, :, :, None, None]
+    terms = [(denr * a * b, flipped), (-sign_refl * den * a * b, cr),
+             (-sign_pm * denr * b, c), (sign_pm * den * b, cr)]
+    if trace_g is not None:
+        diag = np.arange(len(labs))
+        tr = np.zeros_like(c)
+        tr[:, diag, diag] = c[:, diag, diag].sum(axis=1)[:, None]
+        terms += [(-trace_g.num * den * a, cr), (denr * a * trace_g.den, tr)]
+    bad = _lincomb(terms).astype(bool).any(axis=(0, 3, 4))
+    for i, j in zip(*np.nonzero(bad)):
+        rep.fail(((labs[i], labs[j]), "symmetry relation violated"))
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# the product identity S(u) S(-u) = w(u) I
+# ---------------------------------------------------------------------------
+
+
+def _interpolate(lo, ys) -> Poly:
+    """The polynomial of degree < len(ys) with value ys[k] at u = lo + k, in
+    Newton's forward-difference form."""
+    out, basis = Poly(), P_ONE
+    for k in range(len(ys)):
+        out = out + basis * ys[0]
+        ys = [y1 - y0 for y0, y1 in zip(ys, ys[1:])]
+        basis = basis * Poly([Fraction(-lo - k, k + 1), Fraction(1, k + 1)])
+    return out
+
+
 def scalar_product_with_reflected(op: OperatorMatrix):
-    """Returns (w, report): w with S(u) S(-u) = w(u) * Id if scalar, else None."""
+    """(w, report) with S(u) S(-u) = w(u) Id, exactly; w is None when a
+    diagonal block of S(u) S(-u) is not a scalar, and otherwise the scalar of
+    the first label.
+
+    With S = num/den and num scaled to integers by L, num(u) num(-u) is a
+    matrix polynomial of degree at most D = 2 (slots - 1), so it is decided
+    by its values on the D + 1 integer points -D/2 .. D/2.  The arithmetic is
+    int64 when the squared row-sum norm of num on the grid, which bounds every
+    entry and partial sum of the products, stays below 2^63, and Python
+    integers otherwise.  Every off-diagonal block must vanish and every
+    diagonal block be c(u0) Id with one c for all labels; w(u) =
+    c(u) / (L^2 den(u) den(-u)), c interpolated from its grid values.  A
+    witness is ((i, j), u0, what) for block (i, j) at its first failing grid
+    point u0, what one of "nonzero", "not scalar", "scalar differs".
+    """
     rep = Report("unitary-scalar")
-    den2 = op.den * op.den.compose_affine(-1, 0)
-    eye = np.eye(op.dim, dtype=object)
-    w_num = None
-    for i in op.labels:
-        for j in op.labels:
-            acc = None
-            for a in op.labels:
-                A, B = op.blocks.get((i, a)), op.blocks.get((a, j))
-                if A is None or B is None:
-                    continue
-                m = _convolve(A, np.array([(-1) ** q * b for q, b in enumerate(B)]))
-                acc = m if acc is None else acc + m
-            if i != j:
-                if acc is not None and any(acc.flat):
-                    rep.fail(((i, j), "off-diagonal entry of S(u)S(-u) is nonzero"))
-                continue
-            # diagonal: must be a scalar matrix, equal for every i
-            coeffs = [Fraction(0)] if acc is None else list(acc[:, 0, 0])
-            for k in range(0 if acc is None else len(acc)):
-                if not np.array_equal(acc[k], coeffs[k] * eye):
-                    rep.fail(((i, i), f"coefficient of u^{k} is not scalar"))
-                    return None, rep
-            w = RatFunc(Poly(coeffs), den2)
-            if w_num is None:
-                w_num = w
-            elif w_num != w:
-                rep.fail(((i, i), "diagonal scalar differs between labels"))
-    return w_num, rep
+    labels, N = op.labels, len(op.labels)
+    x, scale = _integral(_rational_blocks(op.coeffs()))
+    m = x.shape[-1]
+    e = m // op.dim  # 2 when Q(sqrt 2) entries went through the ring map
+    x = x.transpose(0, 1, 3, 2, 4).reshape(-1, N * m, N * m)  # rows (i, r)
+    D = 2 * (len(x) - 1)
+    grid = range(-(D // 2), D // 2 + 1)
+    dtype = np.int64 if _norm(x, D // 2) ** 2 < 2**63 else object
+    x = x.astype(dtype)
+    rep.details.update(degree_bound=D, grid_points=len(grid), operator_dim=N * m,
+                       arithmetic="int64" if dtype is np.int64 else "int")
+    xs = {w: _at(x, w) for w in grid}
+    eye = np.eye(op.dim, dtype=dtype)
+    off = ~np.eye(N, dtype=bool)
+    failed, ys, scalar = {}, [], True
+    for u0 in grid:
+        Z = (xs[u0] @ xs[-u0]).reshape(N, m, N, m).transpose(0, 2, 1, 3)  # blocks (i, j)
+        c = Z[0, 0, :e, :e]
+        bad = {(i, j): "nonzero" for i, j in zip(*np.nonzero((Z != 0).any(axis=(2, 3)) & off))}
+        for i in range(N):
+            if not np.array_equal(Z[i, i], np.kron(eye, Z[i, i, :e, :e])):
+                bad[(i, i)], scalar = "not scalar", False
+            elif not np.array_equal(Z[i, i, :e, :e], c):
+                bad[(i, i)] = "scalar differs"
+        for key, what in bad.items():
+            failed.setdefault(key, (u0, what))
+        ys.append(Sqrt2(int(c[0, 0]), int(c[1, 0])) if e == 2 and c[1, 0] else int(c[0, 0]))
+    for (i, j), (u0, what) in sorted(failed.items()):
+        rep.fail(((labels[i], labels[j]), u0, what))
+    if not scalar:
+        return None, rep
+    w = _interpolate(grid.start, ys) * Fraction(1, scale * scale)
+    return RatFunc(w, op.den * op.den.compose_affine(-1, 0)), rep

@@ -134,7 +134,7 @@ def test_criterion_03_one_parameter_family():
             K = k_one_param(pt, a)
             t0 = time.time()
             assert check_reflection(R, K).passed, (tag, N, a)
-            assert check_symmetry(K, pt, one_param=True).passed, (tag, N, a)
+            assert check_symmetry(K, pt).passed, (tag, N, a)
             dt = time.time() - t0
             worst = max(worst, dt)
             assert dt <= 60

@@ -126,6 +126,8 @@ MALFORMED = {
     "cell-without-den": _cell_without_den,
     "extra-label-entry": _extra_label_entry,
     "key-not-i,j": _key_not_i_j,
+    "pair-list": lambda d: d.update(pair=[1]),
+    "pair-p-string": lambda d: d["pair"].update(p="3", q=1),
 }
 
 
@@ -228,6 +230,36 @@ def _certificate_file():
     data = serialize.certificate_json(Certificate(pair("C0", 2), [Poly((1,))]))
     data["P"][0] = [1.0]
     return data, [["classify"], ["weights"], ["verify", "module"]]
+
+
+def _b0_weights():
+    from twyang import serialize
+    from twyang.classify import WeightTuple
+    from twyang.rkmat import pair
+
+    return serialize.weights_json(WeightTuple(pair("B0", 3), {0: "1", 1: "1"}))
+
+
+MALFORMED_WEIGHTS = {
+    "mu-list": (lambda d: d.update(mu=[1]), "'mu'"),
+    "mu-extra-component": (lambda d: d["mu"].update({"7": d["mu"]["1"]}), "'mu'"),
+    "mu-missing-component": (lambda d: d["mu"].pop("0"), "'mu'"),
+    "pair-list": (lambda d: d.update(pair=[1]), "'pair'"),
+}
+
+
+@pytest.mark.parametrize("mutate, field", MALFORMED_WEIGHTS.values(),
+                         ids=MALFORMED_WEIGHTS.keys())
+def test_malformed_weights_file_is_a_config_error(tmp_path, capsys, mutate, field):
+    data = _b0_weights()
+    f = tmp_path / "w.json"
+    f.write_text(json.dumps(data))
+    assert main(["classify", "--in", str(f)]) == 0
+    capsys.readouterr()
+    mutate(data)
+    f.write_text(json.dumps(data))
+    assert main(["classify", "--in", str(f)]) == 2
+    assert field in capsys.readouterr().err
 
 
 FLOAT_FILES = {"module": _module_file, "weights": _weights_file,

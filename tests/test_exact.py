@@ -8,7 +8,6 @@ from twyang.exact import (
     RatFunc,
     Sqrt2,
     TruncSeries,
-    default_series_order,
     factor_shifted_square,
     frac,
     poly,
@@ -148,19 +147,6 @@ def test_series_long_division_oracle():
         num = rand_poly(rng, den.degree)
         got = series_expand(RatFunc(num, den, reduce=False), 6).coeffs
         assert list(got) == long_division_series(num, den, 6)
-
-
-def test_default_series_order_env(monkeypatch):
-    monkeypatch.delenv("TWYANG_TRUNC_ORDER", raising=False)
-    assert default_series_order() == 12
-    monkeypatch.setenv("TWYANG_TRUNC_ORDER", "20")
-    assert default_series_order() == 20
-    monkeypatch.setenv("TWYANG_TRUNC_ORDER", "0")
-    assert default_series_order() == 0
-    for bad in ("abc", "-3", "2.5", "1/2"):
-        monkeypatch.setenv("TWYANG_TRUNC_ORDER", bad)
-        with pytest.raises(ValueError, match="TWYANG_TRUNC_ORDER"):
-            default_series_order()
 
 
 def test_series_rejects_unbounded():

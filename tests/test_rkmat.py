@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twyang.exact import P_ONE, RatFunc, poly, rf
@@ -129,19 +130,35 @@ def test_yang_baxter_perturbed_fails_with_witness():
     # oracle: evaluate both sides of the YBE at a rational point and exhibit
     # the violated entry found by the checker
     (rk, ck), _ = rep.witnesses[0]
-    from twyang.tensors import place_on_legs
+    labs = (-1, 0, 1)
 
-    u0, v0 = Fraction(5), Fraction(7, 2)
+    def sides(R, u0=Fraction(5), v0=Fraction(7, 2)):
+        r12, r13, r23 = (_place(R.map_values(lambda e: e.eval(x)), legs, labs)
+                         for x, legs in ((u0, (1, 2)), (u0 + v0, (1, 3)), (v0, (2, 3))))
+        return r12 @ r13 @ r23, r23 @ r13 @ r12
 
-    def at(m, x):
-        return m.map_values(lambda e: RatFunc.of(e.eval(x)))
+    lhs, rhs = sides(r_matrix(3, ORTHOGONAL))
+    assert np.array_equal(lhs, rhs)
+    lhs, rhs = sides(R)
+    row, col = (sum(labs.index(x) * 3 ** (2 - t) for t, x in enumerate(k)) for k in (rk, ck))
+    assert lhs[row, col] != rhs[row, col]
 
-    r12 = place_on_legs(at(R, u0), (1, 2), 3, (-1, 0, 1))
-    r13 = place_on_legs(at(R, u0 + v0), (1, 3), 3, (-1, 0, 1))
-    r23 = place_on_legs(at(R, v0), (2, 3), 3, (-1, 0, 1))
-    lhs = r12 @ r13 @ r23
-    rhs = r23 @ r13 @ r12
-    assert lhs[(rk, ck)] != rhs[(rk, ck)]
+
+def _place(m, legs, labels):
+    """The dense matrix of the two-leg m acting on `legs` (1-based) of
+    (C^N)^(x3), the identity on the third leg; rows and columns (a, b, c)."""
+    pos = {l: k for k, l in enumerate(labels)}
+    N = len(labels)
+    (other,) = {1, 2, 3} - set(legs)
+    out = np.zeros((N,) * 6, dtype=object)
+    for (r, c), v in m.data.items():
+        for t in range(N):
+            idx = [0] * 6
+            for leg, x, y in zip(legs, r, c):
+                idx[leg - 1], idx[leg + 2] = pos[x], pos[y]
+            idx[other - 1] = idx[other + 2] = t
+            out[tuple(idx)] = v
+    return out.reshape(N**3, N**3)
 
 
 def test_reflection_scalar_k_commutes():
@@ -174,7 +191,7 @@ def test_one_param_reflection_diii():
     pt = pair("DIII", 4)
     K = k_one_param(pt, Fraction(3, 7))
     assert check_reflection(r_matrix_for_pair(pt), K).passed
-    assert check_symmetry(K, pt, one_param=True).passed
+    assert check_symmetry(K, pt).passed
 
 
 def test_p_scalar_ci():

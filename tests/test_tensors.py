@@ -1,37 +1,56 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from twyang.exact import RatFunc, poly, rf
 from twyang.rkmat import r_matrix
 from twyang.tensors import (
     ORTHOGONAL,
     SYMPLECTIC,
     IndexSet,
     LabeledMatrix,
-    kron,
-    leg_embed,
     op_P,
     op_Q,
-    place_on_legs,
     theta,
 )
+from twyang.verify import _two_leg_basis
 
 
 def labels_of(N):
     return IndexSet.for_N(N).labels()
 
 
-def rand_matrix(rng, N):
-    labs = labels_of(N)
-    m = LabeledMatrix(labs)
-    for _ in range(2 * N):
-        i, j = rng.choice(labs), rng.choice(labs)
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        if c:
-            m.data[((i,), (j,))] = c
-    return m
+def as_matrix(T):
+    """A two-leg array in the layout [i, j, k, l] = entry ((i, k), (j, l)) as
+    an N^2 x N^2 matrix with rows (i, k) and columns (j, l)."""
+    N = len(T)
+    return T.transpose(0, 2, 1, 3).reshape(N * N, N * N)
+
+
+def unit(N, r, c):
+    """The N x N matrix unit E_rc, r and c signed labels."""
+    pos = {l: k for k, l in enumerate(labels_of(N))}
+    E = np.zeros((N, N), dtype=int)
+    E[pos[r], pos[c]] = 1
+    return E
+
+
+def place(m, legs, labels):
+    """The dense matrix of the two-leg m acting on `legs` (1-based) of
+    (C^N)^(x3), the identity on the third leg; rows and columns (a, b, c)."""
+    pos = {l: k for k, l in enumerate(labels)}
+    N = len(labels)
+    (other,) = {1, 2, 3} - set(legs)
+    out = np.zeros((N,) * 6, dtype=object)
+    for (r, c), v in m.data.items():
+        for t in range(N):
+            idx = [0] * 6
+            for leg, x, y in zip(legs, r, c):
+                idx[leg - 1], idx[leg + 2] = pos[x], pos[y]
+            idx[other - 1] = idx[other + 2] = t
+            out[tuple(idx)] = v
+    return out.reshape(N**3, N**3)
 
 
 def test_index_set_enumeration_order():
@@ -48,45 +67,54 @@ def test_theta_conventions():
 
 
 def test_kron_identity():
-    I2 = LabeledMatrix.identity(labels_of(2))
-    assert kron(I2, I2) == LabeledMatrix.identity([(i, k) for i in labels_of(2) for k in labels_of(2)])
+    # the two-leg I of the engine is kron(I, I) in the [i, j, k, l] layout
+    for N in (2, 3):
+        I, _, _ = _two_leg_basis(labels_of(N), ORTHOGONAL)
+        assert np.array_equal(as_matrix(I), np.kron(np.eye(N, dtype=int), np.eye(N, dtype=int)))
 
 
 def test_kron_unit_matrices():
+    # E_11 (x) E_22 has its one entry at row (1, 2), column (1, 2)
     labs = labels_of(4)
-    e11 = LabeledMatrix.unit(labs, 1, 1)
-    e22 = LabeledMatrix.unit(labs, 2, 2)
-    k = kron(e11, e22)
-    assert list(k.data) == [(((1, 2)), ((1, 2)))]
+    pos = {l: k for k, l in enumerate(labs)}
+    k = np.kron(unit(4, 1, 1), unit(4, 2, 2)).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
+    assert list(zip(*np.nonzero(k))) == [(pos[1], pos[1], pos[2], pos[2])]
 
 
 def test_kron_gives_swap_matrix():
     # P = sum E_ij x E_ji acts as the swap on basis vectors (enumeration oracle)
     labs = labels_of(2)
-    P = op_P(2)
-    acc = LabeledMatrix([(i, k) for i in labs for k in labs])
-    for i in labs:
-        for j in labs:
-            acc = acc + kron(LabeledMatrix.unit(labs, i, j), LabeledMatrix.unit(labs, j, i))
-    assert P == acc
-    for a in labs:
-        for b in labs:
-            # P e_a x e_b = e_b x e_a: the ((b,a),(a,b)) entry is 1
-            assert P[((b, a), (a, b))] == 1
+    _, P, _ = _two_leg_basis(labs, ORTHOGONAL)
+    P = as_matrix(P)
+    acc = sum(np.kron(unit(2, i, j), unit(2, j, i)) for i in labs for j in labs)
+    assert np.array_equal(P, acc)
+    for a in range(2):
+        for b in range(2):
+            e = np.zeros(4, dtype=int)
+            e[2 * a + b] = 1  # e_a x e_b
+            assert (P @ e)[2 * b + a] == 1 and (P @ e).sum() == 1
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_p_q_relations(N):
-    P = op_P(N)
-    I = LabeledMatrix.identity(P.labels)
-    assert P @ P == I
+    labs = labels_of(N)
+    pos = {l: k for k, l in enumerate(labs)}
     fams = [ORTHOGONAL] if N % 2 else [ORTHOGONAL, SYMPLECTIC]
     for fam in fams:
-        Q = op_Q(N, fam)
-        assert Q @ Q == Q.scale(Fraction(N))
+        I, P, Q = _two_leg_basis(labs, fam)
+        # op_P and op_Q are the engine's P and Q, entry by entry
+        for T, m in ((P, op_P(N)), (Q, op_Q(N, fam))):
+            for i in labs:
+                for j in labs:
+                    for k in labs:
+                        for l in labs:
+                            assert m[((i, k), (j, l))] == T[pos[i], pos[j], pos[k], pos[l]]
+        I, P, Q = as_matrix(I), as_matrix(P), as_matrix(Q)
+        assert np.array_equal(P @ P, I)
+        assert np.array_equal(Q @ Q, N * Q)
         sign = 1 if fam == ORTHOGONAL else -1
-        assert P @ Q == Q.scale(Fraction(sign))
-        assert Q @ P == Q.scale(Fraction(sign))
+        assert np.array_equal(P @ Q, sign * Q)
+        assert np.array_equal(Q @ P, sign * Q)
 
 
 def test_q_rejects_odd_symplectic():
@@ -94,42 +122,14 @@ def test_q_rejects_odd_symplectic():
         op_Q(3, SYMPLECTIC)
 
 
-def test_transpose_identity_and_defining_rule():
-    labs = labels_of(2)
-    I = LabeledMatrix.identity(labs)
-    assert I.transpose_t(ORTHOGONAL) == I
-    e = LabeledMatrix.unit(labs, 1, -1)
-    t = e.transpose_t(SYMPLECTIC)
-    # (E_{1,-1})^{t-} = theta_{1,-1} E_{1,-1} = -E_{1,-1}
-    assert t[((1,), (-1,))] == -1 and len(t.data) == 1
-
-
-def test_transpose_involution_random():
-    rng = random.Random(11)
-    for fam in (ORTHOGONAL, SYMPLECTIC):
-        for _ in range(50):
-            m = rand_matrix(rng, 4)
-            assert m.transpose_t(fam).transpose_t(fam) == m
-
-
-def test_leg_embed_basics():
-    labs = labels_of(2)
-    m = rand_matrix(random.Random(0), 2)
-    assert leg_embed(m, 1, 1, labs) == m
-    P = op_P(2)
-    I2 = LabeledMatrix.identity(labs)
-    assert place_on_legs(P, (1, 2), 3, labs) == kron(P, I2)
-    with pytest.raises(ValueError):
-        leg_embed(m, 4, 3, labs)
-
-
 def test_r13_by_swap_conjugation():
+    # the dense placement: R13(u0) = S23 R12(u0) S23 with S23 the swap of legs 2, 3
     labs = labels_of(2)
     R = r_matrix(2, "gl")
-    direct = place_on_legs(R, (1, 3), 3, labs)
-    s23 = place_on_legs(op_P(2), (2, 3), 3, labs).map_values(RatFunc.of)
-    r12 = place_on_legs(R, (1, 2), 3, labs)
-    assert s23 @ r12 @ s23 == direct
+    s23 = place(op_P(2), (2, 3), labs)
+    for u0 in (Fraction(3), Fraction(-5, 2)):
+        at = R.map_values(lambda e: e.eval(u0))
+        assert np.array_equal(s23 @ place(at, (1, 2), labs) @ s23, place(at, (1, 3), labs))
 
 
 def test_partial_transpose_p_gives_q():
@@ -142,8 +142,7 @@ def test_partial_transpose_p_gives_q():
 
 def test_partial_transpose_identity():
     labs = labels_of(2)
-    I = LabeledMatrix.identity(labs)
-    II = kron(I, I)
+    II = LabeledMatrix.identity([(i, k) for i in labs for k in labs])
     assert II.partial_transpose(1, ORTHOGONAL) == II
 
 
@@ -172,12 +171,3 @@ def test_partial_transposes_agree_on_q_span():
                 if cs[(i, j)]:
                     m.data[((i, -i), (j, -j))] = cs[(i, j)] * theta(fam, i, j)
         assert m.partial_transpose(1, fam) == m.partial_transpose(2, fam)
-
-
-def test_kron_associativity_up_to_regrouping():
-    rng = random.Random(17)
-    for _ in range(5):
-        a, b, c = (rand_matrix(rng, 2) for _ in range(3))
-        lhs = kron(kron(a, b), c)
-        rhs = kron(a, kron(b, c))
-        assert lhs.data == rhs.data  # labels are flat tuples either way

@@ -1,10 +1,10 @@
-"""The identity engine: each relation check passes on a module, K-matrix or
-R-matrix that satisfies it and fails, with a witness, once one coefficient
-is perturbed."""
+"""The identity engine and the product check: each relation check passes on
+a module, K-matrix or R-matrix that satisfies it and fails, with a witness,
+once one coefficient is perturbed."""
 
 from fractions import Fraction
 
-from twyang.exact import RatFunc, Sqrt2
+from twyang.exact import P_ONE, RatFunc, Sqrt2, poly
 from twyang.liealg import sp2_on_so3
 from twyang.reps import (
     eval_so3,
@@ -14,8 +14,12 @@ from twyang.reps import (
     vector_eval_x,
 )
 from twyang.rkmat import (
+    check_r_unitarity,
     check_reflection,
+    check_symmetry,
     check_twisted_reflection,
+    check_unitarity,
+    g_matrix,
     k_one_param,
     pair,
     r_matrix,
@@ -28,6 +32,7 @@ from twyang.verify import (
     check_olshanskii_commutators,
     check_rtt_commutators,
     check_twisted_commutators,
+    scalar_product_with_reflected,
 )
 
 
@@ -108,3 +113,82 @@ def test_large_coefficients_take_the_python_int_path():
     rep = check_reflection(R, K)
     assert rep.details["arithmetic"] == "int"
     _assert_entry_witness(rep, 2)
+
+
+def _assert_product_witness(rep, labels):
+    assert not rep.passed and rep.witnesses
+    D = rep.details["degree_bound"]
+    for (i, j), u0, what in rep.witnesses:
+        assert {i, j} <= set(labels) and isinstance(u0, int) and -D // 2 <= u0 <= D // 2
+        assert what in ("nonzero", "not scalar", "scalar differs")
+
+
+def test_unitarity_k_perturbed():
+    pt = pair("BIa", 5, 3, 2)  # second kind: G(u) = (I - c u G)/(1 - c u)
+    K = g_matrix(pt)
+    rep = check_unitarity(K)
+    assert rep.passed and rep.details["grid_points"] == 3
+    K.data[((1,), (1,))] = K.data[((1,), (1,))] + RatFunc.of(1)
+    rep = check_unitarity(K)
+    _assert_product_witness(rep, pt.labels())
+    assert [w[0] for w in rep.witnesses] == [(1, 1)]
+    K = g_matrix(pt)
+    K.data[((1,), (-1,))] = RatFunc.of(1)
+    _assert_product_witness(check_unitarity(K), pt.labels())
+    # a scalar product other than 1 is named by its w
+    K = g_matrix(pair("C0", 2)).map_values(lambda v: 2 * v)
+    rep = check_unitarity(K)
+    assert not rep.passed and rep.witnesses == [("w(u)", RatFunc.of(4))]
+
+
+def test_r_unitarity_perturbed():
+    R = r_matrix(3, ORTHOGONAL)
+    rep = check_r_unitarity(R)
+    assert rep.passed and rep.details["operator_dim"] == 9
+    R.data[((1, 0), (1, 0))] = R.data[((1, 0), (1, 0))] + RatFunc(P_ONE, poly(0, 1))
+    rep = check_r_unitarity(R)
+    _assert_product_witness(rep, [-1, 0, 1])
+    assert [(w[0], w[2]) for w in rep.witnesses] == [
+        ((0, 1), "nonzero"), ((1, 0), "nonzero"), ((1, 1), "not scalar")]
+
+
+def test_unitary_scalar_module_perturbed():
+    m = eval_so3(-1)
+    w, rep = scalar_product_with_reflected(m.op)
+    assert rep.passed and w is not None
+    assert rep.details["degree_bound"] == 2 * (m.op.slots - 1)
+    assert rep.details["grid_points"] == rep.details["degree_bound"] + 1
+    for key, r, c in (((1, 1), 0, 0), ((1, 0), 0, 0)):
+        w, rep = scalar_product_with_reflected(_perturbed(m.op, key, r, c, 1))
+        _assert_product_witness(rep, m.op.labels)
+
+
+def test_unitary_scalar_python_int_path():
+    a = Fraction(10**15, 7)
+    m = onedim_module(pair("CI", 4), a)
+    w, rep = scalar_product_with_reflected(m.op)
+    # (G + a/u)(G - a/u) = 1 - a^2/u^2, G^2 = I
+    assert rep.passed and rep.details["arithmetic"] == "int"
+    assert w == RatFunc(poly(-a * a, 0, 1), poly(0, 0, 1))
+    bad = _perturbed(m.op, (1, 1), 0, 0, 1)
+    w, rep = scalar_product_with_reflected(bad)
+    assert rep.details["arithmetic"] == "int"
+    _assert_product_witness(rep, m.op.labels)
+
+
+def test_symmetry_k_perturbed():
+    for pt in (pair("BIa", 5, 3, 2), pair("CI", 4)):
+        K = g_matrix(pt)
+        assert check_symmetry(K, pt).passed
+        K.data[((1,), (1,))] = K.data[((1,), (1,))] + RatFunc.of(1)
+        rep = check_symmetry(K, pt)
+        # the trace term carries the change to every diagonal entry
+        assert not rep.passed
+        assert [w[0] for w in rep.witnesses] == [(l, l) for l in pt.labels()]
+    # the one-parameter K of CI and DIII passes the same check, no flag needed
+    for tag, N in (("CI", 2), ("DIII", 4)):
+        pt = pair(tag, N)
+        assert check_symmetry(k_one_param(pt, Fraction(-5, 3)), pt).passed
+        K = k_one_param(pt, Fraction(-5, 3))
+        K.data[((-1,), (-1,))] = K.data[((-1,), (-1,))] + RatFunc(P_ONE, poly(0, 1))
+        assert not check_symmetry(K, pt).passed
