@@ -3,9 +3,9 @@
 
 The isomorphisms with the rank-one twisted Yangians turn every Y+-(2)
 evaluation module into a module of X(sp_2, *)^tw, X(so_3, so_3)^tw or
-X(so_4, *)^tw.  This demo checks the so_3 bridge (whose construction runs
-through Q(sqrt2) and lands back in Q) against the direct evaluation module,
-and evaluates the Sklyanin determinant by its two closed formulas.
+X(so_4, *)^tw.  This demo checks the so_3 bridge (built on a rational basis
+of the symmetric square of C^2) against the direct evaluation module, and
+evaluates the Sklyanin determinant by its two closed formulas.
 """
 
 from fractions import Fraction

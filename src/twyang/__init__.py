@@ -4,7 +4,6 @@ for twisted Yangians of types B, C and D."""
 from .exact import (
     Poly,
     RatFunc,
-    Sqrt2,
     TruncSeries,
     factor_shifted_square,
     frac,

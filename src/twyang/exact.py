@@ -1,13 +1,11 @@
 """Exact scalar, polynomial, rational-function and truncated-series arithmetic.
 
 Coefficients are arbitrary-precision rationals (fractions.Fraction).  The
-polynomial kernels (products, division with remainder, gcd) scale them to
-Python integers over a common denominator and build one Fraction per result
-coefficient, so results are the same canonical Fractions as plain Fraction
-arithmetic would give.  The variable of polynomials is always "u".  A small quadratic extension
-Q(sqrt 2) is provided for the one construction that genuinely needs sqrt(2);
-all arithmetic classes are duck-typed over their coefficients so Fraction and
-Sqrt2 mix freely.
+polynomial kernels (products, division with remainder, gcd, the substitution
+u -> a u + b) scale them to Python integers over a common denominator and
+build one Fraction per result coefficient, so results are the same canonical
+Fractions as plain Fraction arithmetic would give.  The variable of
+polynomials is always "u".
 """
 
 from __future__ import annotations
@@ -27,91 +25,6 @@ def frac(x, y=None) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass a Fraction or string")
     return Fraction(x)
-
-
-class Sqrt2:
-    """Element a + b*sqrt(2) of the quadratic field Q(sqrt 2)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = frac(a)
-        self.b = frac(b)
-
-    @staticmethod
-    def of(x):
-        return x if isinstance(x, Sqrt2) else Sqrt2(frac(x))
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __eq__(self, other):
-        if isinstance(other, Sqrt2):
-            return self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b)) if self.b else hash(self.a)
-
-    def __add__(self, other):
-        o = Sqrt2.of(other)
-        return Sqrt2(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Sqrt2(-self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-Sqrt2.of(other))
-
-    def __rsub__(self, other):
-        return Sqrt2.of(other) + (-self)
-
-    def __mul__(self, other):
-        o = Sqrt2.of(other)
-        return Sqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        d = self.a * self.a - 2 * self.b * self.b
-        if not d:
-            raise ZeroDivisionError("zero element of Q(sqrt 2)")
-        return Sqrt2(self.a / d, -self.b / d)
-
-    def __truediv__(self, other):
-        return self * Sqrt2.of(other).inverse()
-
-    def __rtruediv__(self, other):
-        return Sqrt2.of(other) * self.inverse()
-
-    @property
-    def is_rational(self):
-        return not self.b
-
-    def rational(self) -> Fraction:
-        if self.b:
-            raise ValueError(f"{self} is not rational")
-        return self.a
-
-    def __repr__(self):
-        if not self.b:
-            return str(self.a)
-        return f"({self.a}+{self.b}*sqrt2)"
-
-
-SQRT2 = Sqrt2(0, 1)
-
-
-def _is_zero(c) -> bool:
-    return not c
-
-
-def _has_sqrt2(cs) -> bool:
-    return any(type(c) is Sqrt2 for c in cs)
 
 
 def _scaled(cs):
@@ -159,8 +72,8 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, (Fraction, Sqrt2)) else frac(c) for c in coeffs]
-        while cs and _is_zero(cs[-1]):
+        cs = [c if isinstance(c, Fraction) else frac(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -201,7 +114,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction, Sqrt2)):
+        if isinstance(other, (int, Fraction)):
             return self == Poly.constant(other)
         return NotImplemented
 
@@ -213,7 +126,7 @@ class Poly:
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Sqrt2)):
+        if isinstance(other, (int, Fraction)):
             other = Poly.constant(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly([self.coeff(k) + other.coeff(k) for k in range(n)])
@@ -224,7 +137,7 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Sqrt2)):
+        if isinstance(other, (int, Fraction)):
             other = Poly.constant(other)
         return self + (-other)
 
@@ -232,19 +145,11 @@ class Poly:
         return Poly.constant(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Sqrt2)):
+        if isinstance(other, (int, Fraction)):
             return Poly([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        if _has_sqrt2(a) or _has_sqrt2(b):
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if _is_zero(x):
-                    continue
-                for j, y in enumerate(b):
-                    out[i + j] = out[i + j] + x * y
-            return Poly(out)
         (x, dx), (y, dy) = _scaled(a), _scaled(b)
         out = [0] * (len(x) + len(y) - 1)
         for i, c in enumerate(x):
@@ -272,14 +177,6 @@ class Poly:
         n = len(b) - 1
         if len(a) <= n:
             return Poly(), self
-        if _has_sqrt2(a) or _has_sqrt2(b):
-            q, r = Poly(), self
-            inv = 1 / other.lead
-            while r and r.degree >= other.degree:
-                t = Poly([0] * (r.degree - n) + [r.lead * inv])
-                q = q + t
-                r = r - t * other
-            return q, r
         (x, dx), (y, dy) = _scaled(a), _scaled(b)
         q, r, s = _divide(x, y)
         return Poly._of([t * dy for t in q], s * dx), Poly._of(r, s * dx)
@@ -293,7 +190,7 @@ class Poly:
     def gcd(self, other):
         """Monic gcd; the zero polynomial only for gcd(0, 0).
 
-        Over Q this is the primitive polynomial remainder sequence (Knuth,
+        This is the primitive polynomial remainder sequence (Knuth,
         TAOCP vol. 2, 4.6.1) on integer coefficients: each pseudo-remainder
         is divided by its content, so the coefficients stay as small as the
         gcd's own, and only the last one is made monic."""
@@ -301,11 +198,6 @@ class Poly:
         if not a or not b:
             p = self if a else other
             return p.monic() if p else p
-        if _has_sqrt2(a) or _has_sqrt2(b):
-            p, r = self, other
-            while r:
-                p, r = r, p % r
-            return p.monic()
         if len(a) == 1 or len(b) == 1:
             return P_ONE
         x, y = _primitive(_scaled(a)[0]), _primitive(_scaled(b)[0])
@@ -334,23 +226,36 @@ class Poly:
         return acc
 
     def compose_affine(self, a, b):
-        """P(a*u + b), exact; a may be zero (evaluation at the constant b)."""
-        a, b = frac(a), frac(b)
-        arg = Poly((b, a))
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * arg + Poly.constant(c)
-        return acc
+        """P(a*u + b), exact; a may be zero (evaluation at the constant b).
 
-    def shift(self, c):
-        return self.compose_affine(1, c)
+        One Taylor shift on integers: with P = sum_k x_k u^k / d (x_k integers),
+        b = s/t and n = deg P, H(w) = t^n d P(w/t) has the integer coefficients
+        x_k t^(n-k); synthetic division (Horner's scheme, n(n+1)/2 integer
+        steps) gives H(w + s), and P(a u + b) = H(t a u + s) / (t^n d), so its
+        coefficient k is h_k (t a)^k / (t^n d)."""
+        a, b = frac(a), frac(b)
+        if not self.coeffs:
+            return self
+        x, d = _scaled(self.coeffs)
+        n, s, t = len(x) - 1, b.numerator, b.denominator
+        h = [c * t ** (n - k) for k, c in enumerate(x)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                h[j] += s * h[j + 1]
+        # (t a)^k = p^k / q^k over the common denominator q^n
+        p, q = (t * a).numerator, (t * a).denominator
+        pk, qk = 1, q**n
+        for k in range(n + 1):
+            h[k] *= pk * qk
+            pk, qk = pk * p, qk // q
+        return Poly._of(h, q**n * t**n * d)
 
     def __repr__(self):
         if not self.coeffs:
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
-            if _is_zero(c):
+            if not c:
                 continue
             if k == 0:
                 parts.append(str(c))
@@ -363,7 +268,6 @@ class Poly:
 
 P_ZERO = Poly()
 P_ONE = Poly((1,))
-P_U = Poly((0, 1))
 
 
 def poly(*coeffs):
@@ -400,15 +304,13 @@ class RatFunc:
             return x
         if isinstance(x, Poly):
             return RatFunc(x, P_ONE, reduce=False)
-        if isinstance(x, Sqrt2):
-            return RatFunc(Poly.constant(x), P_ONE, reduce=False)
         return RatFunc(Poly.constant(frac(x)), P_ONE, reduce=False)
 
     def __bool__(self):
         return bool(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (RatFunc, Poly, int, Fraction, Sqrt2)):
+        if isinstance(other, (RatFunc, Poly, int, Fraction)):
             o = RatFunc.of(other)
             return self.num == o.num and self.den == o.den
         return NotImplemented
@@ -450,18 +352,12 @@ class RatFunc:
     def __rtruediv__(self, other):
         return RatFunc.of(other) / self
 
-    def inverse(self):
-        return RatFunc.of(1) / self
-
     def substitute_affine(self, a, b):
         """f(a*u + b); a must be nonzero for the map to be a substitution."""
         a = frac(a)
         if not a:
             raise ValueError("degenerate substitution: a = 0")
         return RatFunc(self.num.compose_affine(a, b), self.den.compose_affine(a, b))
-
-    def shift(self, c):
-        return self.substitute_affine(1, c)
 
     def reflect(self, c=0):
         """f(c - u)."""
@@ -484,9 +380,6 @@ class RatFunc:
             return Fraction(0)
         return self.num.lead / self.den.lead
 
-    def series_at_infinity(self, order):
-        return series_expand(self, order)
-
     def __repr__(self):
         if self.den == P_ONE:
             return repr(self.num)
@@ -494,8 +387,6 @@ class RatFunc:
 
 
 RF_ZERO = RatFunc(P_ZERO, reduce=False)
-RF_ONE = RatFunc(P_ONE, reduce=False)
-RF_U = RatFunc(P_U, reduce=False)
 
 
 def rf(num_coeffs, den_coeffs=(1,)):
@@ -508,7 +399,7 @@ class TruncSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [c if isinstance(c, (Fraction, Sqrt2)) else frac(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else frac(c) for c in coeffs]
         if not cs:
             raise ValueError("a truncated series stores at least the constant term")
         self.coeffs = tuple(cs)
@@ -531,7 +422,7 @@ class TruncSeries:
         return TruncSeries(self.coeffs[: order + 1])
 
     def _common(self, other):
-        if isinstance(other, (int, Fraction, Sqrt2)):
+        if isinstance(other, (int, Fraction)):
             other = TruncSeries([other] + [Fraction(0)] * self.order)
         d = min(self.order, other.order)
         return self.truncate(d), other.truncate(d)
@@ -550,32 +441,19 @@ class TruncSeries:
         return a + (-b)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Sqrt2)):
+        if isinstance(other, (int, Fraction)):
             return TruncSeries([c * other for c in self.coeffs])
         a, b = self._common(other)
         d = a.order
         out = [Fraction(0)] * (d + 1)
         for i, x in enumerate(a.coeffs):
-            if _is_zero(x):
+            if not x:
                 continue
             for j in range(d + 1 - i):
                 out[i + j] = out[i + j] + x * b.coeffs[j]
         return TruncSeries(out)
 
     __rmul__ = __mul__
-
-    def inverse(self):
-        if _is_zero(self.coeffs[0]):
-            raise ZeroDivisionError("series with zero constant term")
-        d = self.order
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * d
-        for m in range(1, d + 1):
-            s = Fraction(0)
-            for k in range(1, m + 1):
-                s = s + self.coeffs[k] * out[m - k]
-            out[m] = -inv0 * s
-        return TruncSeries(out)
 
     def shift_argument(self, a):
         """k(u) -> k(u + a), re-expanded exactly at the same truncation order."""
@@ -584,7 +462,7 @@ class TruncSeries:
         out = [Fraction(0)] * (d + 1)
         # (u+a)^(-j) = sum_t binom(-j, t) a^t u^(-j-t)
         for j, c in enumerate(self.coeffs):
-            if _is_zero(c):
+            if not c:
                 continue
             for t in range(d - j + 1):
                 w = Fraction((-1) ** t * comb(j + t - 1, t)) if j > 0 else Fraction(t == 0)
@@ -601,7 +479,7 @@ class TruncSeries:
     def __repr__(self):
         parts = [str(self.coeffs[0])]
         for k in range(1, len(self.coeffs)):
-            if not _is_zero(self.coeffs[k]):
+            if self.coeffs[k]:
                 parts.append(f"{self.coeffs[k]}/u^{k}")
         return " + ".join(parts) + f" + O(u^-{self.order + 1})"
 

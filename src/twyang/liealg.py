@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import Sqrt2, frac
+from .exact import frac
 from .tensors import theta
 
 
@@ -226,21 +226,6 @@ def gl2_module(mu1, mu2) -> LieModule:
     return LieModule("gl2", d, Fm, {1: mu1, 2: mu2}, "orthogonal")
 
 
-def lie_module(algebra: str, *weight) -> LieModule:
-    """Dispatch to the named constructor: sp2, gl1, so3, so4, gl2, so2."""
-    ctors = {
-        "sp2": sp2_module,
-        "gl1": gl1_module,
-        "so3": so3_module,
-        "so4": so4_module,
-        "gl2": gl2_module,
-        "so2": so2_char,
-    }
-    if algebra not in ctors:
-        raise ValueError(f"unknown algebra {algebra!r}")
-    return ctors[algebra](*weight)
-
-
 def so2_char(c) -> LieModule:
     """One-dimensional so_2 module, F_11 acting by the scalar c."""
     m = obj_matrix([[frac(c)]])
@@ -251,26 +236,18 @@ def sp2_on_so3(mu) -> LieModule:
     """The sp_2-action on the so_3 module V(mu) transported through the
     isomorphism sp_2 -> so_3:
 
-        F_11 -> 2 F_11,  F_{-1,1} -> 2 sqrt2 F_{-1,0},  F_{1,-1} -> 2 sqrt2 F_{0,-1}.
+        F_11 -> 2 F_11,  F_{-1,1} -> -4 F_{-1,0},  F_{1,-1} -> -2 F_{0,-1},
 
-    Entries live in Q(sqrt 2)."""
-    from .exact import SQRT2
-
+    so [F_{1,-1}, F_{-1,1}] = 8 [F_{0,-1}, F_{-1,0}] = 4 (2 F_11).  This is the
+    orthonormal-basis action (factors 2 sqrt2) after a diagonal rescaling of
+    the weight basis by powers of sqrt2, so its entries are rational."""
     base = so3_module(mu)
-
-    def lift(mat, scale):
-        out = np.empty(mat.shape, dtype=object)
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                out[i, j] = scale * mat[i, j]
-        return out
-
-    two = Fraction(2)
+    F11 = 2 * base.fmat(1, 1)
     F = {
-        (1, 1): lift(base.fmat(1, 1), Sqrt2(two)),
-        (-1, -1): lift(base.fmat(1, 1), Sqrt2(-two)),
-        (-1, 1): lift(base.fmat(-1, 0), 2 * SQRT2),
-        (1, -1): lift(base.fmat(0, -1), 2 * SQRT2),
+        (1, 1): F11,
+        (-1, -1): -F11,
+        (-1, 1): -4 * base.fmat(-1, 0),
+        (1, -1): -2 * base.fmat(0, -1),
     }
     return LieModule("sp2-on-so3", base.dim, F, {1: 2 * frac(mu)}, "symplectic")
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals (and Q(sqrt2)) via row reduction.
+"""Exact linear algebra over the rationals via row reduction.
 
 Matrices are lists of lists; vectors are lists.  No pivoting heuristics are
 needed since the arithmetic is exact.

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import P_ONE, Poly, RatFunc, Sqrt2, frac, poly
+from .exact import P_ONE, Poly, RatFunc, frac, poly
 from .liealg import (
     LieModule,
     _eye,
@@ -329,18 +329,21 @@ def _aux_product(*factors):
     return out
 
 
-def _rational(x):
-    return x.rational() if isinstance(x, Sqrt2) and x.is_rational else x
-
-
 def bridge_so3(m: OlshanskiiModule) -> TwistedModule:
     """X(so_3, so_3)^tw module from a Y-(2) module via
 
         S(u) -> (1/2) R(-1) S_1(2u-1) R(-4u+1)^{t-} S_2(2u)
 
-    restricted to the symmetric square of C^2 with the orthonormal basis
-    (v_{-1}, v_0, v_1), v_0 = (e_{-1} x e_1 + e_1 x e_{-1}) / sqrt(2).
-    Coefficients are coerced back to Q when they are rational.
+    restricted to the symmetric square of C^2 with the rational basis
+
+        b_{-1} = e_{-1} x e_{-1},  b_0 = -(e_{-1} x e_1 + e_1 x e_{-1}) / 2,
+        b_1 = -e_1 x e_1 / 2.
+
+    The bilinear form this basis induces from the one on C^2 (x) C^2 is -1/2
+    times the standard form of so_3 on C^3, and a form that is a scalar
+    multiple of the standard one has the same transpose, so Q = P^t, R(u)
+    and G = I of B0 are unchanged.  The input is rational whenever the
+    Y-(2) module is (`sp2_on_so3` is written in this basis).
     """
     if m.sign != -1:
         raise ValueError("the so_3 bridge takes a Y-(2) module")
@@ -366,18 +369,16 @@ def bridge_so3(m: OlshanskiiModule) -> TwistedModule:
         {((a, i), (a, j)): c for (i, j), c in s2.blocks.items() for a in (-1, 1)},
     )
     zero = 0 * next(iter(M.values()))
-    r2 = Sqrt2(0, 1)
-    cols = {-1: [(1, (-1, -1))], 0: [(1 / r2, (-1, 1)), (1 / r2, (1, -1))], 1: [(-1, (1, 1))]}
+    mh = Fraction(-1, 2)
+    cols = {-1: [(1, (-1, -1))], 0: [(mh, (-1, 1)), (mh, (1, -1))], 1: [(mh, (1, 1))]}
     blocks = {}
     for j, col in cols.items():
         img = {r: sum((M.get((r, c), zero) * x for x, c in col), zero) for r in aux}
         if not np.array_equal(img[(-1, 1)], img[(1, -1)]):
             raise AssertionError("image of the so_3 bridge left the symmetric square")
         blocks[(-1, j)], blocks[(0, j)], blocks[(1, j)] = (
-            img[(-1, -1)], img[(-1, 1)] * r2, -img[(1, 1)])
-    blocks = {k: np.array([_rational(x) for x in c.flat], dtype=object).reshape(c.shape)
-              for k, c in blocks.items()}
-    den = Poly([_rational(x) for x in (s1.den * poly(-1, 4) * s2.den).coeffs])
+            img[(-1, -1)], -2 * img[(-1, 1)], -2 * img[(1, 1)])
+    den = s1.den * poly(-1, 4) * s2.den
     pt = pair("B0", 3)
     op = OperatorMatrix(pt.labels(), pt.family, d, den, blocks)
     return TwistedModule(pt, op, provenance=f"bridge_so3 of {m.provenance}")

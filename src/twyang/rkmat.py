@@ -68,6 +68,8 @@ class PairType:
                 raise ValueError("BI(b) requires p even and q odd")
             if t in ("CII", "DIa") and not (p % 2 == 0 and q % 2 == 0):
                 raise ValueError(f"{t} requires p and q even")
+        elif self.p is not None or self.q is not None:
+            raise ValueError(f"{t} takes no 'p' or 'q', got p={self.p!r}, q={self.q!r}")
 
     # -- index data ------------------------------------------------------
     @property

@@ -16,15 +16,13 @@ from fractions import Fraction
 import numpy as np
 
 from .classify import Certificate, WeightTuple
-from .exact import Poly, RatFunc, Sqrt2
+from .exact import Poly, RatFunc
 from .rkmat import PairType
 from .reps import OperatorMatrix, TwistedModule, XModule
 from .tensors import IndexSet
 
 
 def _frac_str(x) -> str:
-    if isinstance(x, Sqrt2):
-        raise ValueError("modules over Q(sqrt2) are not serializable")
     return str(Fraction(x))
 
 

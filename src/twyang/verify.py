@@ -22,8 +22,6 @@ polynomial vanishes identically iff it vanishes on the integer grid
 them.  The arithmetic is int64 when an a-priori bound on every entry of
 every partial product (the product of the factors' row-sum norms over the
 grid) stays below 2^63, and Python integers otherwise; there are no floats.
-Coefficients in Q(sqrt 2) go through the injective ring map
-a + b sqrt2 -> [[a, 2b], [b, a]], which doubles the dimension of V.
 
 The product identity X(u) X(-u) = w(u) I (unitarity of K and R, the unitary
 scalar of a module) is decided on the D + 1 integer points -D/2 .. D/2,
@@ -41,7 +39,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from .exact import P_ONE, Poly, RatFunc, Sqrt2, poly
+from .exact import P_ONE, Poly, RatFunc, poly
 from .tensors import theta
 
 
@@ -242,22 +240,6 @@ class OperatorMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _rational_blocks(c):
-    """Entries of Q(sqrt 2) as 2x2 rational blocks [[a, 2b], [b, a]] on the
-    last two axes; rational arrays come back unchanged."""
-    if not any(isinstance(x, Sqrt2) for x in c.flat):
-        return c
-    a = np.vectorize(lambda x: Sqrt2.of(x).a, otypes=[object])(c)
-    b = np.vectorize(lambda x: Sqrt2.of(x).b, otypes=[object])(c)
-    *lead, d, _ = c.shape
-    out = np.empty((*lead, d, 2, d, 2), dtype=object)
-    out[..., :, 0, :, 0] = a
-    out[..., :, 0, :, 1] = 2 * b
-    out[..., :, 1, :, 0] = b
-    out[..., :, 1, :, 1] = a
-    return out.reshape(*lead, 2 * d, 2 * d)
-
-
 def _integral(c):
     """(c scaled by the lcm of its denominators, as Python ints, with trailing
     zero coefficients (axis 0) dropped; that lcm)."""
@@ -289,7 +271,7 @@ def check_relation(name, labels, A, X, B=None, entry_labels=None) -> Report:
     A, X and B are coefficient arrays c[p, i, j, r, s] of polynomials in
     their argument, i, j positions in `labels`: for X the (r, s) entry of
     x_ij, for the two-leg factors A, B the ((i, r), (j, s)) entry on
-    C^N (x) C^N.  Entries are rational (Q(sqrt 2) for X).  A witness is
+    C^N (x) C^N.  Entries are rational.  A witness is
     (key, (u0, v0)) with the first grid point where the entry fails: the
     key is (i, j, k, l) for the block of E_ij (x) E_kl, or, when
     `entry_labels` names the basis of V, the entry (row, col) of
@@ -297,7 +279,7 @@ def check_relation(name, labels, A, X, B=None, entry_labels=None) -> Report:
     """
     rep = Report(name)
     N = len(labels)
-    x, _ = _integral(_rational_blocks(X))
+    x, _ = _integral(X)
     d = x.shape[-1]
     x = x.transpose(0, 1, 3, 2, 4).reshape(-1, N * d, N * d)  # rows (i, r)
     a, b = (None if F is None else
@@ -498,9 +480,8 @@ def scalar_product_with_reflected(op: OperatorMatrix):
     """
     rep = Report("unitary-scalar")
     labels, N = op.labels, len(op.labels)
-    x, scale = _integral(_rational_blocks(op.coeffs()))
-    m = x.shape[-1]
-    e = m // op.dim  # 2 when Q(sqrt 2) entries went through the ring map
+    x, scale = _integral(op.coeffs())
+    m = op.dim
     x = x.transpose(0, 1, 3, 2, 4).reshape(-1, N * m, N * m)  # rows (i, r)
     D = 2 * (len(x) - 1)
     grid = range(-(D // 2), D // 2 + 1)
@@ -509,21 +490,21 @@ def scalar_product_with_reflected(op: OperatorMatrix):
     rep.details.update(degree_bound=D, grid_points=len(grid), operator_dim=N * m,
                        arithmetic="int64" if dtype is np.int64 else "int")
     xs = {w: _at(x, w) for w in grid}
-    eye = np.eye(op.dim, dtype=dtype)
+    eye = np.eye(m, dtype=dtype)
     off = ~np.eye(N, dtype=bool)
     failed, ys, scalar = {}, [], True
     for u0 in grid:
         Z = (xs[u0] @ xs[-u0]).reshape(N, m, N, m).transpose(0, 2, 1, 3)  # blocks (i, j)
-        c = Z[0, 0, :e, :e]
+        c = Z[0, 0, 0, 0]
         bad = {(i, j): "nonzero" for i, j in zip(*np.nonzero((Z != 0).any(axis=(2, 3)) & off))}
         for i in range(N):
-            if not np.array_equal(Z[i, i], np.kron(eye, Z[i, i, :e, :e])):
+            if not np.array_equal(Z[i, i], Z[i, i, 0, 0] * eye):
                 bad[(i, i)], scalar = "not scalar", False
-            elif not np.array_equal(Z[i, i, :e, :e], c):
+            elif Z[i, i, 0, 0] != c:
                 bad[(i, i)] = "scalar differs"
         for key, what in bad.items():
             failed.setdefault(key, (u0, what))
-        ys.append(Sqrt2(int(c[0, 0]), int(c[1, 0])) if e == 2 and c[1, 0] else int(c[0, 0]))
+        ys.append(int(c))
     for (i, j), (u0, what) in sorted(failed.items()):
         rep.fail(((labels[i], labels[j]), u0, what))
     if not scalar:

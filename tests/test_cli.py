@@ -91,6 +91,17 @@ def test_build_bridge(tmp_path):
                  "--mu2", "0", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("mu", ["0", "-1/2", "-1", "-3/2"])
+def test_bridge_so3_file_equals_eval_file(tmp_path, mu):
+    files = {}
+    for kind, args in (("bridge", ["--variant", "so3"]), ("eval", ["--pair", "B0"])):
+        f = files[kind] = tmp_path / f"{kind}.json"
+        assert main(["build", kind, *args, f"--mu={mu}", "--out", str(f)]) == 0
+    bridge, ev = (json.loads(f.read_text()) for f in files.values())
+    for key in ("pair", "dim", "entries"):
+        assert bridge[key] == ev[key], key
+
+
 def _short_row(d):
     d["entries"]["1,1"][0].pop()
 
@@ -128,6 +139,7 @@ MALFORMED = {
     "key-not-i,j": _key_not_i_j,
     "pair-list": lambda d: d.update(pair=[1]),
     "pair-p-string": lambda d: d["pair"].update(p="3", q=1),
+    "pair-p-q-on-C0": lambda d: d["pair"].update(p=1, q=1),
 }
 
 
@@ -245,6 +257,7 @@ MALFORMED_WEIGHTS = {
     "mu-extra-component": (lambda d: d["mu"].update({"7": d["mu"]["1"]}), "'mu'"),
     "mu-missing-component": (lambda d: d["mu"].pop("0"), "'mu'"),
     "pair-list": (lambda d: d.update(pair=[1]), "'pair'"),
+    "pair-p-q-on-B0": (lambda d: d["pair"].update(p=3, q=1), "'p'"),
 }
 
 

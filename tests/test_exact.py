@@ -6,7 +6,6 @@ import pytest
 from twyang.exact import (
     Poly,
     RatFunc,
-    Sqrt2,
     TruncSeries,
     factor_shifted_square,
     frac,
@@ -245,21 +244,6 @@ def test_linear_solve_inconsistent_marker():
 
 
 # ---------------------------------------------------------------------------
-# Q(sqrt2)
-# ---------------------------------------------------------------------------
-
-
-def test_sqrt2_field():
-    x = Sqrt2(1, 1)
-    assert x * x == Sqrt2(3, 2)
-    assert x / x == 1
-    assert (Sqrt2(0, 1) * Sqrt2(0, 1)) == 2
-    inv = Sqrt2(1, 1).inverse()
-    assert inv * Sqrt2(1, 1) == 1
-    assert Sqrt2(Fraction(1, 2), 0).is_rational
-
-
-# ---------------------------------------------------------------------------
 # Poly kernels (scaled integers) against the plain Fraction algorithms
 # ---------------------------------------------------------------------------
 
@@ -288,6 +272,14 @@ def oracle_gcd(a, b):
     while b:
         a, b = b, oracle_divmod(a, b)[1]
     return a * (1 / a.lead) if a else a
+
+
+def oracle_compose_affine(p, a, b):
+    """P(a u + b) by Horner's rule over Poly products and sums."""
+    arg, acc = Poly((frac(b), frac(a))), Poly()
+    for c in reversed(p.coeffs):
+        acc = acc * arg + Poly.constant(c)
+    return acc
 
 
 def same(p, q):
@@ -333,24 +325,18 @@ def test_poly_kernels_match_fraction_oracle():
     assert Poly().gcd(Poly()) == Poly()
 
 
-def test_poly_kernels_sqrt2_fallback():
-    # Q(sqrt 2) coefficients take the generic path; results equal the oracle
-    rng = random.Random(12)
-    s2 = lambda: Sqrt2(rand_rat(rng), rand_rat(rng))  # noqa: E731
-    for _ in range(20):
-        a = Poly([s2() for _ in range(rng.randint(1, 5))])
-        b = Poly([s2() for _ in range(rng.randint(1, 3))]) or Poly([Sqrt2(1, 1)])
-        c = rand_poly(rng, 3)  # rational: a mixed product still takes the generic path
-        for x, y in ((a, b), (a, c), (c, a)):
-            assert same(x * y, oracle_mul(x, y))
-            if y:
-                q, r = x.divmod(y)
-                oq, orr = oracle_divmod(x, y)
-                assert same(q, oq) and same(r, orr)
-                assert q * y + r == x and r.degree < y.degree
-            assert same(x.gcd(y), oracle_gcd(x, y))
-    h = Poly([Sqrt2(-1, 1), 1])  # u + sqrt2 - 1
-    assert (h * Poly([1, 1])).gcd(h * Poly([3, 2])) == h
+def test_compose_affine_matches_horner_oracle():
+    rng = random.Random(14)
+    shifts = [(0, 0), (0, Fraction(-7, 3)), (1, 1), (-1, Fraction(7, 2)),
+              (Fraction(1, 2), Fraction(-1, 2)), (2, -1), (Fraction(-3, 5), Fraction(10**12, 7))]
+    for a, b, _ in kernel_pairs(rng):
+        for p in (a, b, a * b):
+            for s, t in shifts + [(rand_rat(rng), rand_rat(rng))]:
+                assert same(p.compose_affine(s, t), oracle_compose_affine(p, s, t))
+    p = Poly.from_roots([1, Fraction(-2, 3), 5])
+    assert p.compose_affine(0, 1) == Poly()  # a = 0 is evaluation at b
+    assert p.compose_affine(0, 2) == Poly.constant(p.eval(2))
+    assert p.compose_affine(1, 0) == p
 
 
 def test_poly_kernels_match_sympy():

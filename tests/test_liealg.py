@@ -100,10 +100,11 @@ def test_casimir_scalars():
 
 
 def test_sp2_on_so3_brackets():
-    # transported action satisfies [F_{1,-1}, F_{-1,1}] = 4 F_11 over Q(sqrt2)
+    # transported action satisfies [F_{1,-1}, F_{-1,1}] = 4 F_11 over Q
     m = sp2_on_so3(-1)
     lhs = m.F[(1, -1)] @ m.F[(-1, 1)] - m.F[(-1, 1)] @ m.F[(1, -1)]
     assert np.array_equal(lhs, 4 * m.F[(1, 1)])
+    assert all(type(x) is Fraction for f in m.F.values() for x in f.flat)
     assert m.check_brackets()
 
 

@@ -176,6 +176,29 @@ def test_bridge_so3_matches_eval(mu):
     assert rep.passed
 
 
+# highest weights of the so_3 bridges of two sp_2 evaluation modules; they do
+# not depend on the basis chosen for the symmetric square of C^2
+BRIDGE_SO3_OF_SP2 = {
+    -1: {0: rf(("5/16", "-1/2", 1), ("1/16", "-1/2", 1)), 1: rf(("-5/4", 1), ("-1/4", 1))},
+    -2: {0: rf(("-35/64", "7/16", "-5/4", 1), ("-3/64", "7/16", "-5/4", 1)),
+         1: rf(("35/16", -3, 1), ("3/16", -1, 1))},
+}
+
+
+@pytest.mark.parametrize("mu", [-1, -2])
+def test_bridge_so3_of_rational_module_is_rational(mu):
+    b = bridge_so3(olshanskii_eval(-1, sp2_module(mu)))
+    assert all(type(x) is Fraction for c in b.op.blocks.values() for x in c.flat)
+    assert all(type(x) is Fraction for x in b.op.den.coeffs)
+    assert verify_twisted(b).passed
+    assert highest_weight_extract(b).weights == BRIDGE_SO3_OF_SP2[mu]
+    blocks = dict(b.op.blocks)
+    blocks[(1, 1)] = blocks[(1, 1)].copy()
+    blocks[(1, 1)][0, 0, 0] += 1
+    bad = OperatorMatrix(b.op.labels, b.op.family, b.dim, b.op.den, blocks)
+    assert not verify_twisted(TwistedModule(b.pair, bad)).passed
+
+
 def test_bridge_so4_matches_eval():
     for mu1, mu2 in [(0, 0), (1, 0), (-1, -2)]:
         b = bridge_so4("DIII", olshanskii_eval(1, so2_char(mu1 + mu2)),

@@ -48,16 +48,16 @@ KINDS = {
     "bridge-so3": lambda: bridge_so3(olshanskii_eval(-1, sp2_on_so3(-1))),
     "bridge-so4": lambda: bridge_so4("D0", olshanskii_eval(-1, sp2_module(-1)),
                                      olshanskii_eval(-1, sp2_module(0))),
-    "olshanskii-q-sqrt2": lambda: olshanskii_eval(-1, sp2_on_so3(Fraction(-1, 2))),
+    "olshanskii": lambda: olshanskii_eval(-1, sp2_on_so3(Fraction(-1, 2))),
     "vector": lambda: vector_eval_x(3, "orthogonal", Fraction(1, 2)),
     "tensor": _tensor,
     "v-plus": lambda: restrict_v_plus(_tensor())[0],
     "v-j": lambda: restrict_v_j(eval_so4("DIII", 1, 0))[0],
     "loaded": _loaded,
 }
-# module_json writes twisted and X-modules over Q; the Q(sqrt 2) Olshanskii
-# module and the V^J reflection-algebra module have no file format
-JSON_KINDS = [k for k in KINDS if k not in ("olshanskii-q-sqrt2", "v-j")]
+# module_json writes twisted and X-modules; Olshanskii modules of Y+-(2) and
+# the V^J reflection-algebra module have no file kind
+JSON_KINDS = [k for k in KINDS if k not in ("olshanskii", "v-j")]
 
 
 @pytest.mark.parametrize("build", KINDS.values(), ids=KINDS.keys())

@@ -4,7 +4,7 @@ once one coefficient is perturbed."""
 
 from fractions import Fraction
 
-from twyang.exact import P_ONE, RatFunc, Sqrt2, poly
+from twyang.exact import P_ONE, RatFunc, poly
 from twyang.liealg import sp2_on_so3
 from twyang.reps import (
     eval_so3,
@@ -75,14 +75,11 @@ def test_twisted_module_perturbed():
                               m.op.labels)
 
 
-def test_olshanskii_module_over_q_sqrt2_perturbed():
+def test_olshanskii_module_perturbed():
     om = olshanskii_eval(-1, sp2_on_so3(Fraction(-1, 2)))
     rep = check_olshanskii_commutators(om.op)
-    # Q(sqrt 2) entries double the module dimension
-    assert rep.passed and rep.details["operator_dim"] == 2 * 2 * (2 * om.dim)
-    key = next(k for k, b in om.op.blocks.items()
-               if any(isinstance(x, Sqrt2) and x.b for x in b.flat))
-    bad = _perturbed(om.op, key, 0, 0, Sqrt2(0, 1))
+    assert rep.passed and rep.details["operator_dim"] == 2 * 2 * om.dim
+    bad = _perturbed(om.op, (-1, 1), 0, 0, Fraction(1, 3))
     _assert_quadruple_witness(check_olshanskii_commutators(bad), om.op.labels)
 
 
