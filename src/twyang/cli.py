@@ -80,6 +80,9 @@ def cmd_verify(args) -> int:
         rep = verify_k_matrix(pt, a=None if args.a is None else frac(args.a))
     elif args.target == "module":
         m = serialize.load(args.infile)
+        if not isinstance(m, (TwistedModule, XModule)):
+            print("input is not a module file", file=sys.stderr)
+            return CONFIG
         rep = verify_twisted(m) if isinstance(m, TwistedModule) else verify_x(m)
         if isinstance(m, TwistedModule) and rep.details.get("w") is not None:
             print(f"w(u) = {rep.details['w']}")
@@ -149,6 +152,9 @@ def cmd_build(args) -> int:
             return CONFIG
     elif args.kind == "restrict":
         src = serialize.load(args.infile)
+        if not isinstance(src, TwistedModule):
+            print("restrictions act on twisted module files", file=sys.stderr)
+            return CONFIG
         if args.op == "vplus":
             m, rep = restrict_v_plus(src)
         elif args.op == "vj":

@@ -34,7 +34,6 @@ from .tensors import ORTHOGONAL, SYMPLECTIC, theta
 from .verify import (
     OperatorMatrix,
     _convolve,
-    _lincomb,
     _symmetry_report,
     check_mr_commutators,
     check_olshanskii_commutators,
@@ -696,6 +695,17 @@ def _restrict(labels, family, den, blocks, basis, rep, space):
 
 
 _VPLUS_PAIRS = ("CI", "DIII", "B0", "C0", "D0")
+
+
+def _lincomb(terms):
+    """sum_t p_t(u) c_t(u) for scalar polynomials p_t and coefficient arrays
+    c_t (coefficients along axis 0)."""
+    parts = [_convolve(np.array(p.coeffs, dtype=object), c, np.multiply)
+             for p, c in terms if p]
+    out = np.zeros_like(max(parts, key=len))
+    for x in parts:
+        out[: len(x)] += x
+    return out
 
 
 def restrict_v_plus(m: TwistedModule):

@@ -176,6 +176,8 @@ def dump(obj, path) -> None:
 def load(path):
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("unrecognized file schema")
     if "entries" in data:
         return module_load(data)
     if "mu" in data:

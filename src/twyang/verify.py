@@ -26,9 +26,10 @@ grid) stays below 2^63, and Python integers otherwise; there are no floats.
 The product identity X(u) X(-u) = w(u) I (unitarity of K and R, the unitary
 scalar of a module) is decided on the D + 1 integer points -D/2 .. D/2,
 D = 2 (slots - 1) >= deg num(u) num(-u), by `scalar_product_with_reflected`.
-The symmetry relations, linear in X, are checked on the numerator
-coefficients by `_symmetry_report`.  A K-matrix enters both as the
-one-dimensional module S(u) -> K(u).
+The symmetry relations, linear in X, are decided by `_symmetry_report` on
+the D + 1 integer points of the same kind, D the degree bound of the relation
+with its denominators cleared.  A K-matrix enters both as the one-dimensional
+module S(u) -> K(u).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from .exact import P_ONE, Poly, RatFunc, poly
+from .exact import P_ONE, Poly, RatFunc
 from .tensors import theta
 
 
@@ -406,41 +407,68 @@ def check_mr_commutators(op: OperatorMatrix) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _lincomb(terms):
-    """sum_t p_t(u) c_t(u) for scalar polynomials p_t and coefficient arrays
-    c_t (coefficients along axis 0)."""
-    parts = [_convolve(np.array(p.coeffs, dtype=object), c, np.multiply)
-             for p, c in terms if p]
-    out = np.zeros_like(max(parts, key=len))
-    for x in parts:
-        out[: len(x)] += x
-    return out
-
-
 def _symmetry_report(name, op: OperatorMatrix, kappa, sign_refl, sign_pm, trace_g=None):
     """theta_ij s_{-j,-i}(u) = sign_refl s_ij(k-u) + sign_pm (s_ij(u) - s_ij(k-u))/(2u-k)
     [+ (Tr G(u) s_ij(k-u) - delta_ij sum_k s_kk(u))/(2u-2k) when trace_g = Tr G],
-    checked on the numerators after multiplying through by
-    den(u) den(k-u) (2u-k) [(2u-2k) den Tr G(u)]; one witness per failing (i, j)."""
+    decided by evaluation; one witness ((i, j), ...) per failing block (i, j).
+
+    With S = x/den, x scaled to integers, the relation times den(u) den(k-u)
+    (2u-k) [(2u-2k) den Tr G(u)] reads sum_t p_t(u) C_t(u) = 0, each C_t one
+    of x(u), its flip theta_ij x_{-j,-i}(u), its trace part delta_ij
+    sum_k x_kk(u) and x(k-u), each p_t a scalar polynomial.  That matrix
+    polynomial has degree at most D = max_t deg p_t + slots - 1, so it
+    vanishes iff it vanishes on D + 1 integer points u0.  The numerators are
+    evaluated on all of them by one product with the Vandermonde matrix, and
+    at k - u0, k = P/Q, by the homogeneous form Q^(slots-1) x((P - u0 Q)/Q);
+    the scalar factors of each point are brought to one integer scale.  The
+    arithmetic is int64 when a bound on every partial sum stays below 2^63,
+    and Python integers otherwise.
+    """
     rep = Report(name)
     ka = Fraction(kappa)
-    refl = op.substitute(-1, ka)
-    c, cr, den, denr = op.coeffs(), refl.coeffs(), op.den, refl.den
-    a = poly(-ka, 2)
-    b = P_ONE if trace_g is None else poly(-2 * ka, 2) * trace_g.den
-    labs = op.labels
+    P, Q = ka.numerator, ka.denominator
+    x, _ = _integral(op.coeffs())
+    labs, den, n = op.labels, op.den, len(x)
+    N, d = len(labs), op.dim
+    tn, td = (Poly(), P_ONE) if trace_g is None else (trace_g.num, trace_g.den)
+    deg_b = 0 if trace_g is None else td.degree + 1
+    D = den.degree + 1 + max(deg_b, tn.degree) + n - 1
+    grid = range(-(D // 2), (D + 1) // 2 + 1)
+    # per point: integers (g0, g1, g2, g3) proportional to the factors of
+    # flip(x(u0)), x(u0), trace(x(u0)) and Q^(n-1) x(k-u0)
+    gs = []
+    for u0 in grid:
+        a, dn, dr = 2 * u0 - ka, den.eval(u0), den.eval(ka - u0)
+        t = td.eval(u0)
+        b = 1 if trace_g is None else (2 * u0 - 2 * ka) * t
+        f = (dr * a * b, -sign_pm * dr * b, dr * a * t,
+             dn * (sign_pm * b - sign_refl * a * b - tn.eval(u0) * a) / Q ** (n - 1))
+        scale = lcm(*(v.denominator for v in f))
+        gs.append([int(v * scale) for v in f])
+    vand = [[u0**p for p in range(n)] for u0 in grid]
+    refl = [[(P - u0 * Q) ** p * Q ** (n - 1 - p) for p in range(n)] for u0 in grid]
+    # every entry and partial sum of a point's values, max|g| ((N + 2) |x(u0)|
+    # + |Q^(n-1) x(k-u0)|) included, is at most this bound
+    top = [max(int(np.abs(c).max()), 1) for c in x]
+    bound = max(max(map(abs, g)) * (N + 3) * sum(max(abs(v), abs(r)) * c
+                                                 for v, r, c in zip(vs, rs, top))
+                for g, vs, rs in zip(gs, vand, refl))
+    dtype = np.int64 if bound < 2**63 else object
+    rep.details.update(degree_bound=D, grid_points=len(grid), operator_dim=N * d,
+                       arithmetic="int64" if dtype is np.int64 else "int")
+    xf = x.reshape(n, -1).astype(dtype)
+    ev, evr = ((np.array(m, dtype=object).astype(dtype) @ xf).reshape(-1, N, N, d, d)
+               for m in (vand, refl))
+    g = np.array(gs, dtype=object).astype(dtype).reshape(-1, 4, 1, 1, 1, 1)
     pos = {l: k for k, l in enumerate(labs)}
     neg = [pos[-l] for l in labs]
-    th = np.array([[theta(op.family, i, j) for j in labs] for i in labs], dtype=object)
-    flipped = c[:, neg][:, :, neg].transpose(0, 2, 1, 3, 4) * th[None, :, :, None, None]
-    terms = [(denr * a * b, flipped), (-sign_refl * den * a * b, cr),
-             (-sign_pm * denr * b, c), (sign_pm * den * b, cr)]
+    th = np.array([[theta(op.family, i, j) for j in labs] for i in labs], dtype=dtype)
+    flipped = ev[:, neg][:, :, neg].transpose(0, 2, 1, 3, 4) * th[None, :, :, None, None]
+    val = g[:, 0] * flipped + g[:, 1] * ev + g[:, 3] * evr
     if trace_g is not None:
-        diag = np.arange(len(labs))
-        tr = np.zeros_like(c)
-        tr[:, diag, diag] = c[:, diag, diag].sum(axis=1)[:, None]
-        terms += [(-trace_g.num * den * a, cr), (denr * a * trace_g.den, tr)]
-    bad = _lincomb(terms).astype(bool).any(axis=(0, 3, 4))
+        diag = np.arange(N)
+        val[:, diag, diag] += g[:, 2, 0] * ev[:, diag, diag].sum(axis=1)[:, None]
+    bad = (val != 0).any(axis=(0, 3, 4))
     for i, j in zip(*np.nonzero(bad)):
         rep.fail(((labs[i], labs[j]), "symmetry relation violated"))
     return rep

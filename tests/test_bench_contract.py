@@ -13,6 +13,10 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 WORKLOADS = ["identities", "modules", "tensor", "classify"]
+# per-layer times that must be nonzero on a workload's traced pass: the
+# symmetry relation's cost is reported under these names
+SPANNED = {"identities": ["rkmat.check_symmetry.s"],
+           "modules": ["reps.check_twisted_symmetry.s"]}
 
 
 def _bench_module(name):
@@ -56,4 +60,7 @@ def test_traced_workload_pass_reports_every_layer_metric(workloads, tracer, name
     # bench/run.py adds them, not layer_metrics
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     wanted = {m["name"] for m in declared if not m["name"].startswith("trace.")}
-    assert wanted <= set(tracer.layer_metrics(rec))
+    metrics = tracer.layer_metrics(rec)
+    assert wanted <= set(metrics)
+    for key in SPANNED.get(name, []):
+        assert metrics[key][0] > 0, key

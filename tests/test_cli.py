@@ -304,3 +304,52 @@ def test_bool_and_zero_denominator_coefficients_are_config_errors(tmp_path):
         with pytest.raises(ValueError):
             serialize.load(f)
         assert main(["classify", "--in", str(f)]) == 2
+
+
+def _c0_weights():
+    from twyang import serialize
+    from twyang.classify import WeightTuple
+    from twyang.rkmat import pair
+
+    return serialize.weights_json(WeightTuple(pair("C0", 2), {1: "1"}))
+
+
+def _c0_certificate():
+    from twyang import serialize
+    from twyang.classify import Certificate
+    from twyang.exact import Poly
+    from twyang.rkmat import pair
+
+    return serialize.certificate_json(Certificate(pair("C0", 2), [Poly((1,))]))
+
+
+def _x_module():
+    from twyang import serialize
+    from twyang.reps import vector_eval_x
+
+    return serialize.module_json(vector_eval_x(2, "symplectic", 0))
+
+
+# (file contents, command, message on stderr): a readable file of the wrong
+# kind, or JSON that is not an object, is bad input (exit 2), never exit 1
+WRONG_INPUT = {
+    "weights-file-verify": (_c0_weights, ["verify", "module"], "input is not a module file"),
+    "certificate-file-verify": (_c0_certificate, ["verify", "module"],
+                                "input is not a module file"),
+    "weights-file-restrict": (_c0_weights, ["build", "restrict", "--op", "vj"],
+                              "restrictions act on twisted module files"),
+    "x-module-restrict": (_x_module, ["build", "restrict", "--op", "vplus"],
+                          "restrictions act on twisted module files"),
+    **{f"{name}-{cmd[0]}": (lambda v=value: v, cmd, "unrecognized file schema")
+       for name, value in (("string-entries", "entries"), ("list-entries", ["entries"]),
+                           ("list-P", ["P"]), ("number", 7))
+       for cmd in (["verify", "module"], ["classify"], ["weights"])},
+}
+
+
+@pytest.mark.parametrize("make, cmd, message", WRONG_INPUT.values(), ids=WRONG_INPUT.keys())
+def test_wrong_input_kind_is_a_config_error(tmp_path, capsys, make, cmd, message):
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(make()))
+    assert main(cmd + ["--in", str(f)]) == 2
+    assert message in capsys.readouterr().err

@@ -1,19 +1,27 @@
-"""The identity engine and the product check: each relation check passes on
-a module, K-matrix or R-matrix that satisfies it and fails, with a witness,
-once one coefficient is perturbed."""
+"""The identity engine, the product check and the symmetry relation: each
+relation check passes on a module, K-matrix or R-matrix that satisfies it and
+fails, with a witness, once one coefficient is perturbed; the symmetry
+relation also agrees with a coefficient-convolution oracle."""
 
 from fractions import Fraction
 
+import numpy as np
+
+from test_acceptance import all_modules_for_criterion_4
 from twyang.exact import P_ONE, RatFunc, poly
-from twyang.liealg import sp2_on_so3
+from twyang.liealg import so2_char, sp2_module, sp2_on_so3
 from twyang.reps import (
     eval_so3,
     olshanskii_eval,
     onedim_module,
     restrict_v_j,
+    restrict_v_plus,
+    tensor_twisted,
     vector_eval_x,
 )
+from twyang.rkmat import _operator as rkmat_operator
 from twyang.rkmat import (
+    all_supported_pairs,
     check_r_unitarity,
     check_reflection,
     check_symmetry,
@@ -25,9 +33,11 @@ from twyang.rkmat import (
     r_matrix,
     r_matrix_for_pair,
 )
-from twyang.tensors import LabeledMatrix, ORTHOGONAL
+from twyang.tensors import LabeledMatrix, ORTHOGONAL, theta
 from twyang.verify import (
     OperatorMatrix,
+    _convolve,
+    _symmetry_report,
     check_mr_commutators,
     check_olshanskii_commutators,
     check_rtt_commutators,
@@ -189,3 +199,134 @@ def test_symmetry_k_perturbed():
         K = k_one_param(pt, Fraction(-5, 3))
         K.data[((-1,), (-1,))] = K.data[((-1,), (-1,))] + RatFunc(P_ONE, poly(0, 1))
         assert not check_symmetry(K, pt).passed
+
+
+# ---------------------------------------------------------------------------
+# the symmetry relation against the coefficient oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_lincomb(terms):
+    """sum_t p_t(u) c_t(u) for scalar polynomials p_t and coefficient arrays
+    c_t (coefficients along axis 0)."""
+    parts = [_convolve(np.array(p.coeffs, dtype=object), c, np.multiply)
+             for p, c in terms if p]
+    out = np.zeros_like(max(parts, key=len))
+    for x in parts:
+        out[: len(x)] += x
+    return out
+
+
+def _oracle_symmetry(op, kappa, sign_refl, sign_pm, trace_g=None):
+    """(witness set, degree) of the symmetry relation by coefficient
+    convolution of the relation multiplied through by den(u) den(k-u) (2u-k)
+    [(2u-2k) den Tr G(u)]; degree is that of the cleared polynomial (-1 when
+    it is zero)."""
+    ka = Fraction(kappa)
+    refl = op.substitute(-1, ka)
+    c, cr, den, denr = op.coeffs(), refl.coeffs(), op.den, refl.den
+    a = poly(-ka, 2)
+    b = P_ONE if trace_g is None else poly(-2 * ka, 2) * trace_g.den
+    labs = op.labels
+    pos = {l: k for k, l in enumerate(labs)}
+    neg = [pos[-l] for l in labs]
+    th = np.array([[theta(op.family, i, j) for j in labs] for i in labs], dtype=object)
+    flipped = c[:, neg][:, :, neg].transpose(0, 2, 1, 3, 4) * th[None, :, :, None, None]
+    terms = [(denr * a * b, flipped), (-sign_refl * den * a * b, cr),
+             (-sign_pm * denr * b, c), (sign_pm * den * b, cr)]
+    if trace_g is not None:
+        diag = np.arange(len(labs))
+        tr = np.zeros_like(c)
+        tr[:, diag, diag] = c[:, diag, diag].sum(axis=1)[:, None]
+        terms += [(-trace_g.num * den * a, cr), (denr * a * trace_g.den, tr)]
+    cleared = _oracle_lincomb(terms).astype(bool)
+    bad = cleared.any(axis=(0, 3, 4))
+    degree = max((p for p in range(len(cleared)) if cleared[p].any()), default=-1)
+    return {((labs[i], labs[j]), "symmetry relation violated")
+            for i, j in zip(*np.nonzero(bad))}, degree
+
+
+def _perturb(op, slot, delta=Fraction(1, 3)):
+    """delta added to the u^slot numerator coefficient of entry (0, 0) of the
+    first stored block, the block padded to op.slots."""
+    key = sorted(op.blocks)[0]
+    blocks = dict(op.blocks)
+    b = np.full((op.slots,) + blocks[key].shape[1:], Fraction(0), dtype=object)
+    b[: len(blocks[key])] = blocks[key]
+    b[slot, 0, 0] += delta
+    blocks[key] = b
+    return OperatorMatrix(op.labels, op.family, op.dim, op.den, blocks)
+
+
+def _perturb_den(op):
+    """The same numerators over den(u) (u - 5/2)."""
+    return OperatorMatrix(op.labels, op.family, op.dim, op.den * poly(Fraction(-5, 2), 1),
+                          op.blocks)
+
+
+def _symmetry_cases():
+    """(name, operator matrix, kappa, sign_refl, sign_pm, Tr G or None)."""
+    cases = []
+    for pt in all_supported_pairs(6):
+        tr = g_matrix(pt).trace()
+        args = (pt.kappa, pt.sign_ci_diii, pt.sign_pm, tr)
+        cases.append((f"G {pt}", rkmat_operator(g_matrix(pt), pt.family)) + args)
+        if pt.tag in ("CI", "DIII"):
+            K = k_one_param(pt, Fraction(-5, 3))
+            cases.append((f"K(a) {pt}", rkmat_operator(K, pt.family)) + args)
+    modules = all_modules_for_criterion_4()
+    for tag, N, fam in (("CI", 2, "symplectic"), ("B0", 3, "orthogonal")):
+        for a in (0, Fraction(1, 2)):
+            modules.append(tensor_twisted(vector_eval_x(N, fam, a), onedim_module(pair(tag, N))))
+    tm = tensor_twisted(vector_eval_x(4, "symplectic", 0), onedim_module(pair("CI", 4)))
+    for m in (tm, onedim_module(pair("C0", 4))):
+        sub, rep = restrict_v_plus(m)
+        assert rep.passed
+        modules.append(sub)
+    for m in modules:
+        pt = m.pair
+        cases.append((m.provenance, m.op, pt.kappa, pt.sign_ci_diii, pt.sign_pm,
+                      g_matrix(pt).trace()))
+    for sign, lie in ((-1, sp2_on_so3(Fraction(-1, 2))), (-1, sp2_module(-2)),
+                      (1, so2_char(Fraction(3, 7)))):
+        om = olshanskii_eval(sign, lie)
+        cases.append((om.provenance, om.op, 0, 1, om.sign, None))
+    return cases
+
+
+def test_symmetry_relation_matches_coefficient_oracle():
+    # every case is checked as built and with a perturbation in numerator
+    # slot 0, in the top slot and in den; verdicts and witness sets must agree
+    # with the oracle, the grid must have degree_bound + 1 points, and the
+    # bound must cover the cleared degree (and reach it on some input)
+    fails, tight, cases = 0, 0, _symmetry_cases()
+    for name, op, *args in cases:
+        for variant in (op, _perturb(op, 0), _perturb(op, op.slots - 1), _perturb_den(op)):
+            rep = _symmetry_report("symmetry", variant, *args)
+            want, degree = _oracle_symmetry(variant, *args)
+            assert rep.passed == (not want) and set(rep.witnesses) == want, name
+            d = rep.details
+            assert d["grid_points"] == d["degree_bound"] + 1, name
+            assert d["operator_dim"] == len(op.labels) * op.dim, name
+            assert d["arithmetic"] == "int64", name
+            assert degree <= d["degree_bound"], name
+            fails += not rep.passed
+            tight += degree == d["degree_bound"]
+        assert _symmetry_report("symmetry", op, *args).passed, name
+    assert fails == 3 * len(cases) and tight > 0
+
+
+def test_symmetry_python_int_path():
+    pt = pair("CI", 4)
+    # a = 10^15/7 keeps every partial sum below 2^63; 10^16/7 does not
+    for a, arithmetic in ((Fraction(10**15, 7), "int64"), (Fraction(10**16, 7), "int")):
+        rep = check_symmetry(k_one_param(pt, a), pt)
+        assert rep.passed and rep.details["arithmetic"] == arithmetic
+        assert rep.details["grid_points"] == rep.details["degree_bound"] + 1
+        K = k_one_param(pt, a)
+        K.data[((-1,), (-1,))] = K.data[((-1,), (-1,))] + RatFunc(P_ONE, poly(0, 1))
+        rep = check_symmetry(K, pt)
+        assert not rep.passed and rep.details["arithmetic"] == arithmetic
+        want, _ = _oracle_symmetry(rkmat_operator(K, pt.family), pt.kappa, pt.sign_ci_diii,
+                                   pt.sign_pm, g_matrix(pt).trace())
+        assert set(rep.witnesses) == want and ((-1, -1), "symmetry relation violated") in want
