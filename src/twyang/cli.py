@@ -63,12 +63,24 @@ def _print_report(rep: Report, as_json: bool) -> None:
                 print(f"  {name} = {sub}")
 
 
+def _need(args, *names) -> None:
+    """A config error (ValueError) naming the first of the options `names`
+    (argparse dests) that the command line left out."""
+    for name in names:
+        if getattr(args, name) is None:
+            flag = "--in" if name == "infile" else f"--{name}"
+            what = getattr(args, "target", None) or args.kind
+            raise ValueError(f"{flag} is required for {args.command} {what}")
+
+
 def _pair_from_args(args) -> PairType:
+    _need(args, "pair", "N")
     return pair(args.pair, args.N, getattr(args, "p", None), getattr(args, "q", None))
 
 
 def cmd_verify(args) -> int:
     if args.target == "rmatrix":
+        _need(args, "N")
         fam = args.family
         if fam in ("gN", None):
             fam = "orthogonal" if args.N % 2 == 1 else args.gN_family or "orthogonal"
@@ -79,6 +91,7 @@ def cmd_verify(args) -> int:
         pt = _pair_from_args(args)
         rep = verify_k_matrix(pt, a=None if args.a is None else frac(args.a))
     elif args.target == "module":
+        _need(args, "infile")
         m = serialize.load(args.infile)
         if not isinstance(m, (TwistedModule, XModule)):
             print("input is not a module file", file=sys.stderr)
@@ -106,12 +119,14 @@ def cmd_classify(args) -> int:
 
 
 def _build_eval(args) -> TwistedModule:
-    mu = frac(args.mu) if args.mu is not None else None
     if args.pair in ("C0", "CI") and args.N in (None, 2):
-        return eval_sp2(args.pair, mu)
+        _need(args, "mu")
+        return eval_sp2(args.pair, frac(args.mu))
     if args.pair == "B0" and args.N in (None, 3):
-        return eval_so3(mu)
+        _need(args, "mu")
+        return eval_so3(frac(args.mu))
     if args.pair in ("D0", "DIII") and args.N in (None, 4):
+        _need(args, "mu1", "mu2")
         return eval_so4(args.pair, frac(args.mu1), frac(args.mu2))
     raise ValueError("evaluation modules exist for C0/CI (N=2), B0 (N=3), D0/DIII (N=4)")
 
@@ -123,9 +138,11 @@ def cmd_build(args) -> int:
         pt = _pair_from_args(args)
         m = onedim_module(pt, a=None if args.a is None else frac(args.a))
     elif args.kind == "vector":
+        _need(args, "N", "family")
         fam = _FAMILIES.get(args.family, args.family)
         m = vector_eval_x(args.N, fam, frac(args.a or 0))
     elif args.kind == "tensor":
+        _need(args, "x", "v")
         x = serialize.load(args.x)
         v = serialize.load(args.v)
         if not isinstance(x, XModule) or not isinstance(v, TwistedModule):
@@ -135,11 +152,14 @@ def cmd_build(args) -> int:
     elif args.kind == "bridge":
         variant = args.variant
         if variant == "so3":
+            _need(args, "mu")
             m = bridge_so3(olshanskii_eval(-1, sp2_on_so3(frac(args.mu))))
         elif variant in ("C0", "CI"):
+            _need(args, "mu")
             lie = sp2_module(frac(args.mu)) if variant == "C0" else so2_char(frac(args.mu))
             m = bridge_sp2(variant, olshanskii_eval(-1 if variant == "C0" else 1, lie))
         elif variant in ("D0", "DIII"):
+            _need(args, "mu1", "mu2")
             mu1, mu2 = frac(args.mu1), frac(args.mu2)
             if variant == "DIII":
                 m = bridge_so4("DIII", olshanskii_eval(1, so2_char(mu1 + mu2)),
@@ -151,6 +171,7 @@ def cmd_build(args) -> int:
             print(f"unknown bridge variant {variant}", file=sys.stderr)
             return CONFIG
     elif args.kind == "restrict":
+        _need(args, "infile")
         src = serialize.load(args.infile)
         if not isinstance(src, TwistedModule):
             print("restrictions act on twisted module files", file=sys.stderr)

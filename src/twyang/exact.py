@@ -15,13 +15,18 @@ from math import comb, gcd, lcm
 
 
 def frac(x, y=None) -> Fraction:
-    """Coerce ints / strings / Fractions to an exact rational."""
-    if y is not None:
-        return Fraction(x, y)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
+    """Coerce ints / strings / Fractions to an exact rational; a zero
+    denominator is a ValueError that names the value."""
+    try:
+        if y is not None:
+            return Fraction(x, y)
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, str):
+            return Fraction(x)
+    except ZeroDivisionError:
+        value = x if y is None else f"{x}/{y}"
+        raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass a Fraction or string")
     return Fraction(x)

@@ -19,9 +19,17 @@ factor multiplies both sides alike.  Both sides are then polynomials in
 (u, v) of bidegree at most (D, D), D = deg A + deg X + deg B, and such a
 polynomial vanishes identically iff it vanishes on the integer grid
 {-floor(D/2) .. ceil(D/2)}^2 of (D+1)^2 points, where the engine evaluates
-them.  The arithmetic is int64 when an a-priori bound on every entry of
-every partial product (the product of the factors' row-sum norms over the
-grid) stays below 2^63, and Python integers otherwise; there are no floats.
+them.
+
+Every grid evaluator states an a-priori bound on the absolute value of every
+entry and every partial sum it forms (for `check_relation`, the product of
+the factors' row-sum norms over the grid), and `_arithmetic` picks its
+arithmetic from that bound alone: float64 below 2^53, int64 below 2^63 and
+Python integers otherwise.  Float64 is exact there, not approximate: every
+operand, product and partial sum is an integer of absolute value below 2^53,
+and such an integer is a float64, so every rounding step of a product or a
+sum (fused or not, in any order BLAS chooses) returns it unchanged.  Values
+are compared with `!=` and converted back by `int`, both exact.
 
 The product identity X(u) X(-u) = w(u) I (unitarity of K and R, the unitary
 scalar of a module) is decided on the D + 1 integer points -D/2 .. D/2,
@@ -252,6 +260,17 @@ def _integral(c):
     return out[: top + 1], scale
 
 
+def _arithmetic(bound):
+    """(dtype, label) of the grid arithmetic when every entry and partial sum
+    is an integer of absolute value at most `bound`: float64 (exact, and
+    computed by BLAS) below 2^53, int64 below 2^63, Python integers otherwise."""
+    if bound < 2**53:
+        return np.float64, "float64"
+    if bound < 2**63:
+        return np.int64, "int64"
+    return object, "int"
+
+
 def _norm(c, w) -> int:
     """Row-sum norm bound of the matrix polynomial c on |argument| <= w; it
     also bounds every partial sum of its Horner evaluation."""
@@ -290,13 +309,13 @@ def check_relation(name, labels, A, X, B=None, entry_labels=None) -> Report:
     lo, hi = -(D // 2), (D + 1) // 2
     grid = range(lo, hi + 1)
     bound = 2 * _norm(x, hi) ** 2 * _norm(a, D) * (1 if b is None else _norm(b, 2 * hi))
-    dtype = np.int64 if bound < 2**63 else object
+    dtype, label = _arithmetic(bound)
     x, a = x.astype(dtype), a.astype(dtype)
     if b is not None:
         b = b.astype(dtype)
     n = N * N * d
     rep.details.update(degree_bound=D, grid_points=len(grid) ** 2, operator_dim=n,
-                       arithmetic="int64" if dtype is np.int64 else "int")
+                       arithmetic=label, bound_bits=bound.bit_length())
 
     def two_leg(F, M):
         return (F @ M.reshape(N * N, d * n)).reshape(n, n)
@@ -420,9 +439,10 @@ def _symmetry_report(name, op: OperatorMatrix, kappa, sign_refl, sign_pm, trace_
     vanishes iff it vanishes on D + 1 integer points u0.  The numerators are
     evaluated on all of them by one product with the Vandermonde matrix, and
     at k - u0, k = P/Q, by the homogeneous form Q^(slots-1) x((P - u0 Q)/Q);
-    the scalar factors of each point are brought to one integer scale.  The
-    arithmetic is int64 when a bound on every partial sum stays below 2^63,
-    and Python integers otherwise.
+    the scalar factors of each point are brought to one integer scale.  A
+    bound on every value and partial sum picks the arithmetic (`_arithmetic`):
+    float64 below 2^53, where every operation on these integers is exact in
+    any order and with FMA, int64 below 2^63 and Python integers otherwise.
     """
     rep = Report(name)
     ka = Fraction(kappa)
@@ -453,9 +473,9 @@ def _symmetry_report(name, op: OperatorMatrix, kappa, sign_refl, sign_pm, trace_
     bound = max(max(map(abs, g)) * (N + 3) * sum(max(abs(v), abs(r)) * c
                                                  for v, r, c in zip(vs, rs, top))
                 for g, vs, rs in zip(gs, vand, refl))
-    dtype = np.int64 if bound < 2**63 else object
+    dtype, label = _arithmetic(bound)
     rep.details.update(degree_bound=D, grid_points=len(grid), operator_dim=N * d,
-                       arithmetic="int64" if dtype is np.int64 else "int")
+                       arithmetic=label, bound_bits=bound.bit_length())
     xf = x.reshape(n, -1).astype(dtype)
     ev, evr = ((np.array(m, dtype=object).astype(dtype) @ xf).reshape(-1, N, N, d, d)
                for m in (vand, refl))
@@ -497,14 +517,16 @@ def scalar_product_with_reflected(op: OperatorMatrix):
 
     With S = num/den and num scaled to integers by L, num(u) num(-u) is a
     matrix polynomial of degree at most D = 2 (slots - 1), so it is decided
-    by its values on the D + 1 integer points -D/2 .. D/2.  The arithmetic is
-    int64 when the squared row-sum norm of num on the grid, which bounds every
-    entry and partial sum of the products, stays below 2^63, and Python
-    integers otherwise.  Every off-diagonal block must vanish and every
-    diagonal block be c(u0) Id with one c for all labels; w(u) =
-    c(u) / (L^2 den(u) den(-u)), c interpolated from its grid values.  A
-    witness is ((i, j), u0, what) for block (i, j) at its first failing grid
-    point u0, what one of "nonzero", "not scalar", "scalar differs".
+    by its values on the D + 1 integer points -D/2 .. D/2.  The squared
+    row-sum norm of num on the grid bounds every entry and partial sum of the
+    products and picks the arithmetic (`_arithmetic`): float64 below 2^53,
+    where every operation on these integers is exact in any order and with
+    FMA, int64 below 2^63 and Python integers otherwise.  Every off-diagonal
+    block must vanish and every diagonal block be c(u0) Id with one c for all
+    labels; w(u) = c(u) / (L^2 den(u) den(-u)), c interpolated from its grid
+    values.  A witness is ((i, j), u0, what) for block (i, j) at its first
+    failing grid point u0, what one of "nonzero", "not scalar", "scalar
+    differs".
     """
     rep = Report("unitary-scalar")
     labels, N = op.labels, len(op.labels)
@@ -513,10 +535,11 @@ def scalar_product_with_reflected(op: OperatorMatrix):
     x = x.transpose(0, 1, 3, 2, 4).reshape(-1, N * m, N * m)  # rows (i, r)
     D = 2 * (len(x) - 1)
     grid = range(-(D // 2), D // 2 + 1)
-    dtype = np.int64 if _norm(x, D // 2) ** 2 < 2**63 else object
+    bound = _norm(x, D // 2) ** 2
+    dtype, label = _arithmetic(bound)
     x = x.astype(dtype)
     rep.details.update(degree_bound=D, grid_points=len(grid), operator_dim=N * m,
-                       arithmetic="int64" if dtype is np.int64 else "int")
+                       arithmetic=label, bound_bits=bound.bit_length())
     xs = {w: _at(x, w) for w in grid}
     eye = np.eye(m, dtype=dtype)
     off = ~np.eye(N, dtype=bool)

@@ -353,3 +353,30 @@ def test_wrong_input_kind_is_a_config_error(tmp_path, capsys, make, cmd, message
     f.write_text(json.dumps(make()))
     assert main(cmd + ["--in", str(f)]) == 2
     assert message in capsys.readouterr().err
+
+
+# (command line, message on stderr): a missing option or a zero denominator
+# on the command line is bad input (exit 2), never a traceback and exit 1
+BAD_COMMAND_LINES = [
+    ("verify rmatrix --family so", "--N is required for verify rmatrix"),
+    ("verify kmatrix --pair CI", "--N is required for verify kmatrix"),
+    ("verify module", "--in is required for verify module"),
+    ("build vector --family sp", "--N is required for build vector"),
+    ("build onedim --pair CI", "--N is required for build onedim"),
+    ("build eval --pair C0", "--mu is required for build eval"),
+    ("build eval --pair D0", "--mu1 is required for build eval"),
+    ("build eval --pair D0 --mu1 1", "--mu2 is required for build eval"),
+    ("build tensor", "--x is required for build tensor"),
+    ("build restrict --op vplus", "--in is required for build restrict"),
+    ("build bridge --variant so3", "--mu is required for build bridge"),
+    ("verify kmatrix --pair CI --N 4 -a=1/0", "zero denominator in '1/0'"),
+    ("build vector --N 4 --family sp --a 1/0", "zero denominator in '1/0'"),
+    ("build eval --pair C0 --mu 1/0", "zero denominator in '1/0'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_COMMAND_LINES,
+                         ids=[a for a, _ in BAD_COMMAND_LINES])
+def test_bad_command_line_is_a_config_error(capsys, argv, message):
+    assert main(argv.split()) == 2
+    assert message in capsys.readouterr().err

@@ -6,6 +6,7 @@ relation also agrees with a coefficient-convolution oracle."""
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from test_acceptance import all_modules_for_criterion_4
 from twyang.exact import P_ONE, RatFunc, poly
@@ -32,6 +33,8 @@ from twyang.rkmat import (
     pair,
     r_matrix,
     r_matrix_for_pair,
+    verify_k_matrix,
+    verify_r_matrix,
 )
 from twyang.tensors import LabeledMatrix, ORTHOGONAL, theta
 from twyang.verify import (
@@ -79,7 +82,7 @@ def test_rtt_vector_module_perturbed():
 def test_twisted_module_perturbed():
     m = eval_so3(-1)
     rep = check_twisted_commutators(m.op, m.pair.kappa)
-    assert rep.passed and rep.details["arithmetic"] == "int64"
+    assert rep.passed and rep.details["arithmetic"] == "float64"
     bad = _perturbed(m.op, (1, 1), 0, 0, 1)
     _assert_quadruple_witness(check_twisted_commutators(bad, m.pair.kappa),
                               m.op.labels)
@@ -308,7 +311,9 @@ def test_symmetry_relation_matches_coefficient_oracle():
             d = rep.details
             assert d["grid_points"] == d["degree_bound"] + 1, name
             assert d["operator_dim"] == len(op.labels) * op.dim, name
-            assert d["arithmetic"] == "int64", name
+            # float64 wherever the bound allows; the B0 N=3 tensor's bound
+            # is 2^54-2^58, so its four variants take int64
+            assert d["arithmetic"] == ("float64" if d["bound_bits"] <= 53 else "int64"), name
             assert degree <= d["degree_bound"], name
             fails += not rep.passed
             tight += degree == d["degree_bound"]
@@ -330,3 +335,72 @@ def test_symmetry_python_int_path():
         want, _ = _oracle_symmetry(rkmat_operator(K, pt.family), pt.kappa, pt.sign_ci_diii,
                                    pt.sign_pm, g_matrix(pt).trace())
         assert set(rep.witnesses) == want and ((-1, -1), "symmetry relation violated") in want
+
+
+# The grid arithmetic follows from each check's proven bound alone: float64
+# below 2^53, int64 below 2^63, Python ints beyond.  For K = G + a/u of CI,
+# N = 4, the bound grows with a; these a land each check in each tier.
+_CI4 = pair("CI", 4)
+_TIERS = {
+    "reflection": (lambda K: check_reflection(r_matrix_for_pair(_CI4), K),
+                   ((1,), (1,)), RatFunc.of(1),
+                   {"float64": Fraction(3, 7), "int64": Fraction(10**7, 7),
+                    "int": Fraction(10**8, 7)}),
+    "symmetry": (lambda K: check_symmetry(K, _CI4),
+                 ((-1,), (-1,)), RatFunc(P_ONE, poly(0, 1)),
+                 {"float64": Fraction(3, 7), "int64": Fraction(10**15, 7),
+                  "int": Fraction(10**16, 7)}),
+    # at a = 10^9/7 the bound is about 2^60: the -1 moves one diagonal entry
+    # of the scaled K(-1)K(1) from 10^18 - 49 to 10^18, both about 2^60,
+    # where half an ulp of float64 is 64
+    "unitary-scalar": (lambda K: scalar_product_with_reflected(rkmat_operator(K))[1],
+                       ((1,), (1,)), RatFunc.of(-1),
+                       {"float64": Fraction(3, 7), "int64": Fraction(10**9, 7),
+                        "int": Fraction(10**10, 7)}),
+}
+
+
+@pytest.mark.parametrize("check", _TIERS)
+def test_arithmetic_tiers_agree(check):
+    run, key, delta, tiers = _TIERS[check]
+    witness_sets = []
+    for arithmetic, a in tiers.items():
+        rep = run(k_one_param(_CI4, a))
+        assert rep.passed and rep.details["arithmetic"] == arithmetic, check
+        K = k_one_param(_CI4, a)
+        K.data[key] = K.data[key] + delta
+        rep = run(K)
+        assert not rep.passed and rep.details["arithmetic"] == arithmetic, check
+        bits = rep.details["bound_bits"]
+        assert {"float64": bits <= 53, "int64": 53 < bits <= 63, "int": bits > 63}[arithmetic]
+        witness_sets.append(set(rep.witnesses))
+    assert witness_sets[0] and all(w == witness_sets[0] for w in witness_sets), check
+
+
+def test_int64_tier_keeps_a_perturbation_below_float64_resolution():
+    # negative control of the float64 threshold: this bound lies in
+    # [2^53, 2^63), where float64 rounding loses the -1 in K_11
+    run, key, delta, tiers = _TIERS["unitary-scalar"]
+    K = k_one_param(_CI4, tiers["int64"])
+    K.data[key] = K.data[key] + delta
+    rep = run(K)
+    assert 53 < rep.details["bound_bits"] <= 63
+    assert not rep.passed and rep.details["arithmetic"] == "int64"
+    assert rep.witnesses == [((1, 1), -1, "scalar differs")]
+
+
+def test_suites_run_in_float64():
+    # the R-matrix suites up to N = 6 (YBE operator_dim 216) and the K suite
+    # of every pair up to N = 6 stay below 2^53 in every engine sub-report, so
+    # they take the float64 (BLAS) path
+    reports = [verify_r_matrix(N, fam) for fam, Ns in (("gl", range(2, 7)),
+                                                        (ORTHOGONAL, range(3, 7)),
+                                                        ("symplectic", (2, 4, 6)))
+               for N in Ns]
+    reports += [verify_k_matrix(pt) for pt in all_supported_pairs(6)]
+    engine = [(rep.name, name, d) for rep in reports for name, d in rep.details.items()
+              if isinstance(d, dict) and "grid_points" in d]
+    assert len(engine) >= 2 * 12 + 2 * len(all_supported_pairs(6))
+    for rep_name, name, d in engine:
+        assert d["arithmetic"] == "float64" and d["bound_bits"] <= 53, (rep_name, name)
+    assert max(d["operator_dim"] for _, name, d in engine if name == "yang-baxter") == 216
