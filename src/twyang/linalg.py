@@ -27,7 +27,7 @@ def rref(rows):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
+        inv = Fraction(1) / m[r][c]  # exact for an int pivot too
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:

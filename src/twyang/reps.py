@@ -1,11 +1,12 @@
 """Concrete modules over twisted Yangians: construction and verification.
 
 A module stores the matrix by which its S(u) (T(u), B(u)) acts as one
-`OperatorMatrix`: a monic denominator den(u) and, for each pair of signed
-indices (i, j) with s_ij(u) != 0, the d x d rational coefficient matrices of
-the numerator, with gcd(den, every numerator entry) = 1.  Substitutions
-u -> a u + b, tensor products, bridges and restrictions act on these
-coefficient arrays, and every defining identity is checked exactly on them.
+`OperatorMatrix`: a monic denominator den(u), a positive integer scale and,
+for each pair of signed indices (i, j) with s_ij(u) != 0, the d x d integer
+coefficient matrices of the numerator over scale * den, with gcd(den, every
+numerator entry) = 1.  Substitutions u -> a u + b, tensor products, bridges
+and restrictions act on these integer arrays, and every defining identity is
+checked exactly on them.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from .liealg import (
     sp2_module,
 )
 from .rkmat import PairType, Report, g_matrix, pair
-from .tensors import ORTHOGONAL, SYMPLECTIC, theta
+from .tensors import ORTHOGONAL, SYMPLECTIC, IndexSet, theta
 from .verify import (
     OperatorMatrix,
     _convolve,
+    _r_kappa,
     _symmetry_report,
     check_mr_commutators,
     check_olshanskii_commutators,
@@ -61,6 +63,12 @@ class XModule:
     family: str
     op: OperatorMatrix
     provenance: str = ""
+
+    def __post_init__(self):
+        if self.family == SYMPLECTIC and self.N % 2 == 1:
+            raise ValueError("symplectic requires even N")
+        if self.family == ORTHOGONAL and self.N < 3:
+            raise ValueError("orthogonal requires N >= 3")
 
     @property
     def dim(self):
@@ -279,14 +287,14 @@ def sklyanin_det2(m: OlshanskiiModule):
     if not np.array_equal(line1, np.multiply.outer(c, np.eye(m.dim, dtype=object))):
         rep.fail(("sdet", "sdet is not a scalar operator"))
         return None, rep
-    return pref * RatFunc(Poly(c), s1.den * s2.den), rep
+    return pref * RatFunc(Poly._of(c, s1.scale * s2.scale), s1.den * s2.den), rep
 
 
 # ---------------------------------------------------------------------------
 # bridges from Y+-(2)
 # ---------------------------------------------------------------------------
 
-K2x2 = {(-1, -1): Fraction(-1), (1, 1): Fraction(1)}  # E_11 - E_{-1,-1}
+K2x2 = {(-1, -1): -1, (1, 1): 1}  # E_11 - E_{-1,-1}
 
 
 def bridge_sp2(variant: str, m: OlshanskiiModule) -> TwistedModule:
@@ -309,7 +317,7 @@ def bridge_sp2(variant: str, m: OlshanskiiModule) -> TwistedModule:
     s = m.op.substitute(half, -half)
     blocks = {(i, j): (K2x2[(j, j)] if variant == "CI" else 1) * c
               for (i, j), c in s.blocks.items()}
-    op = OperatorMatrix([-1, 1], SYMPLECTIC, m.dim, s.den, blocks)
+    op = OperatorMatrix([-1, 1], SYMPLECTIC, m.dim, s.den, blocks, s.scale)
     return TwistedModule(pt, op, provenance=f"bridge_sp2({variant}) of {m.provenance}")
 
 
@@ -348,13 +356,13 @@ def bridge_so3(m: OlshanskiiModule) -> TwistedModule:
         raise ValueError("the so_3 bridge takes a Y-(2) module")
     d = m.dim
     aux = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-    eye = _eye(d)
-    # (1/2) R(-1) = (I + P)/2 and (4u - 1) R(-4u+1)^{t-} = (4u - 1) I + Q_-,
-    # their entries as multiples of the identity on V
+    eye = np.eye(d, dtype=object)
+    # R(-1) = I + P (its factor 1/2 goes into the scale) and
+    # (4u - 1) R(-4u+1)^{t-} = (4u - 1) I + Q_-, as multiples of the identity on V
     proj, rt = {}, {}
     for a, b in aux:
         for key in (((a, b), (a, b)), ((a, b), (b, a))):
-            proj[key] = proj.get(key, 0) + eye[None] / 2
+            proj[key] = proj.get(key, 0) + eye[None]
         rt[((a, b), (a, b))] = np.stack([-eye, 4 * eye])
     for a in (-1, 1):
         for c in (-1, 1):
@@ -368,8 +376,8 @@ def bridge_so3(m: OlshanskiiModule) -> TwistedModule:
         {((a, i), (a, j)): c for (i, j), c in s2.blocks.items() for a in (-1, 1)},
     )
     zero = 0 * next(iter(M.values()))
-    mh = Fraction(-1, 2)
-    cols = {-1: [(1, (-1, -1))], 0: [(mh, (-1, 1)), (mh, (1, -1))], 1: [(mh, (1, 1))]}
+    # the columns of 2 b_j: a second factor 2 of the scale
+    cols = {-1: [(2, (-1, -1))], 0: [(-1, (-1, 1)), (-1, (1, -1))], 1: [(-1, (1, 1))]}
     blocks = {}
     for j, col in cols.items():
         img = {r: sum((M.get((r, c), zero) * x for x, c in col), zero) for r in aux}
@@ -379,7 +387,7 @@ def bridge_so3(m: OlshanskiiModule) -> TwistedModule:
             img[(-1, -1)], -2 * img[(-1, 1)], -2 * img[(1, 1)])
     den = s1.den * poly(-1, 4) * s2.den
     pt = pair("B0", 3)
-    op = OperatorMatrix(pt.labels(), pt.family, d, den, blocks)
+    op = OperatorMatrix(pt.labels(), pt.family, d, den, blocks, 4 * s1.scale * s2.scale)
     return TwistedModule(pt, op, provenance=f"bridge_so3 of {m.provenance}")
 
 
@@ -411,7 +419,8 @@ def bridge_so4(variant: str, mp: OlshanskiiModule, mm: OlshanskiiModule) -> Twis
                 continue
             w = sgn[i] * sgn[j] * (K2x2[(c, c)] if use_k else 1)
             blocks[(i, j)] = w * _convolve(e1, e2, np.kron)
-    op = OperatorMatrix(pt.labels(), pt.family, mp.dim * mm.dim, sp.den * sm.den, blocks)
+    op = OperatorMatrix(pt.labels(), pt.family, mp.dim * mm.dim, sp.den * sm.den, blocks,
+                        sp.scale * sm.scale)
     return TwistedModule(
         pt, op, provenance=f"bridge_so4({variant}) of {mp.provenance} x {mm.provenance}"
     )
@@ -423,34 +432,15 @@ def bridge_so4(variant: str, mp: OlshanskiiModule, mm: OlshanskiiModule) -> Twis
 
 
 def vector_eval_x(N: int, family: str, a) -> XModule:
-    """The X(g_N)-module on C^N with T(u) = R(u - a) (unnormalized)."""
+    """The X(g_N)-module on C^N with T(u) = R(u - a) (unnormalized), laid out
+    as t_ij[k, l] = R[(i, k), (j, l)]."""
     a = frac(a)
-    if family == SYMPLECTIC and N % 2 == 1:
-        raise ValueError("symplectic requires even N")
-    if family == ORTHOGONAL and N < 3:
-        raise ValueError("orthogonal requires N >= 3")
     kappa = Fraction(N, 2) + (1 if family == SYMPLECTIC else -1)
-    from .tensors import IndexSet
-
     labs = IndexSet.for_N(N).labels()
-    pos = {l: k for k, l in enumerate(labs)}
-    inv1 = RatFunc(P_ONE, poly(-a, 1))  # 1/(u-a)
-    inv2 = RatFunc(P_ONE, poly(-a - kappa, 1))  # 1/(u-a-kappa)
-
-    def unit(r, c):
-        m = _zeros(N)
-        m[pos[r], pos[c]] = Fraction(1)
-        return m
-
-    terms = {}
-    for i in labs:
-        for j in labs:
-            # -delta_ik delta_lj / (u-a):  t_ij e_i ~ -e_j/(u-a)
-            # theta_ij delta_{k,-j} delta_{l,-i} / (u-a-kappa)
-            terms[(i, j)] = ([(RatFunc.of(1), _eye(N))] if i == j else []) + [
-                (-inv1, unit(j, i)), (theta(family, i, j) * inv2, unit(-i, -j))]
-    op = OperatorMatrix.from_terms(labs, family, N, terms)
-    xm = XModule(N, family, op, provenance=f"vector_eval_x(N={N}, {family}, a={a})")
+    r = _r_kappa(labs, family, kappa)
+    blocks = {(i, j): r[:, p, q] for p, i in enumerate(labs) for q, j in enumerate(labs)}
+    op = OperatorMatrix(labs, family, N, poly(0, -kappa, 1), blocks, kappa.denominator)
+    xm = XModule(N, family, op.substitute(1, -a), f"vector_eval_x(N={N}, {family}, a={a})")
     rep = verify_x(xm)
     if not rep.passed:
         raise AssertionError(f"RTT relation failed for {xm.provenance}: {rep}")
@@ -491,7 +481,8 @@ def tensor_twisted(x: XModule, v: TwistedModule) -> TwistedModule:
                     acc = mat if acc is None else acc + mat
             if acc is not None:
                 blocks[(i, j)] = acc
-    op = OperatorMatrix(labs, pt.family, x.dim * v.dim, t1.den * t2.den * v.op.den, blocks)
+    op = OperatorMatrix(labs, pt.family, x.dim * v.dim, t1.den * t2.den * v.op.den, blocks,
+                        t1.scale * t2.scale * v.op.scale)
     return TwistedModule(pt, op, provenance=f"tensor({x.provenance}, {v.provenance})")
 
 
@@ -531,8 +522,8 @@ def check_embedding_brackets(m: TwistedModule) -> Report:
     [Fhat_ij, s_kl(v)] = (g_ii+g_jj)(d_kj s_il - d_il s_kj
                           - d_{k,-i} theta_ij s_{-j,l} + d_{l,-j} theta_ij s_{k,-i}).
 
-    With den = u^m + den_{m-1} u^{m-1} + ..., s^(1) = num_{m-1} - den_{m-1} num_m;
-    the bracket is checked on the numerators over den.
+    With den = u^m + den_{m-1} u^{m-1} + ..., s^(1) = (num_{m-1} - den_{m-1}
+    num_m) / scale; the bracket is checked on the numerators over scale * den.
     """
     rep = Report("embedding-brackets")
     pt = m.pair
@@ -551,7 +542,7 @@ def check_embedding_brackets(m: TwistedModule) -> Report:
     for i in labs:
         for j in labs:
             c = op.block(i, j)
-            f = slot(c, top - 1) - op.den.coeff(top - 1) * slot(c, top)
+            f = (slot(c, top - 1) - op.den.coeff(top - 1) * slot(c, top)) / op.scale
             if i == j and not pt.first_kind:
                 f = f - Fraction(g[i] - 1) / pt.c * eye
             fhat[(i, j)] = f
@@ -624,7 +615,7 @@ def _read_weights(op: OperatorMatrix, vectors, labels):
             img = op.block(i, i) @ vec  # [p, r]: s_ii(u) v = sum_p img[p] u^p / den
             if not np.array_equal(img, np.multiply.outer(img[:, piv], vec)):
                 break
-            weights[i] = RatFunc(Poly(img[:, piv]), op.den)
+            weights[i] = RatFunc(Poly._of(img[:, piv], op.scale), op.den)
         else:
             cands.append((v, weights))
     return cands
@@ -674,8 +665,8 @@ def highest_weight_extract(m: TwistedModule) -> HighestWeightData:
     return HighestWeightData(len(basis), cands)
 
 
-def _restrict(labels, family, den, blocks, basis, rep, space):
-    """The operators blocks/den on the span of the constant vectors `basis`.
+def _restrict(labels, family, den, blocks, scale, basis, rep, space):
+    """The operators blocks/(scale den) on the span of the constant vectors `basis`.
 
     With B = [basis] and a rational left inverse L (L B = I), a block c maps
     the span into itself iff c_p B = B L c_p B for every slot p, and then acts
@@ -691,7 +682,7 @@ def _restrict(labels, family, den, blocks, basis, rep, space):
             rep.fail((key, f"operator does not preserve {space}"))
     if not rep.passed:
         return None
-    return OperatorMatrix(labels, family, len(basis), den, out)
+    return OperatorMatrix(labels, family, len(basis), den, out, scale)
 
 
 _VPLUS_PAIRS = ("CI", "DIII", "B0", "C0", "D0")
@@ -744,7 +735,7 @@ def restrict_v_plus(m: TwistedModule):
             if terms:
                 blocks[(i, j)] = _lincomb(terms)
     op = _restrict(new_pt.labels(), new_pt.family, h_den * poly(0, 2) * s.den, blocks,
-                   basis, rep, "V+")
+                   s.scale, basis, rep, "V+")
     if op is None:
         return None, rep
     out = TwistedModule(new_pt, op, provenance=f"v_plus({m.provenance})")
@@ -785,7 +776,7 @@ def restrict_v_j(m: TwistedModule):
     labs = list(range(1, n + 1))
     blocks = {(i, j): pt.sign_bracket * m.op.blocks[(i, j)]
               for i in labs for j in labs if (i, j) in m.op.blocks}
-    op = _restrict(labs, ORTHOGONAL, m.op.den, blocks, basis, rep, "V^J")
+    op = _restrict(labs, ORTHOGONAL, m.op.den, blocks, m.op.scale, basis, rep, "V^J")
     if op is None:
         return None, rep
     bm = ReflectionAlgebraModule(n, pt.ell, op)

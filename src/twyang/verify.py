@@ -12,10 +12,10 @@ with X the module's S- or T-matrix; the reflection equations take X = K on
 V = C (dimension 1), and the Yang-Baxter equation takes A = X = R with
 V = C^N (the YBE after the substitution u -> u+v).
 
-`check_relation` decides such a relation exactly.  Each factor enters with
-its denominators cleared and its coefficients scaled to integers: every
-factor occurs once on each side (X once as X1 and once as X2), so a scalar
-factor multiplies both sides alike.  Both sides are then polynomials in
+`check_relation` decides such a relation exactly.  Each factor enters as the
+integer numerator coefficients that `OperatorMatrix` stores: every factor
+occurs once on each side (X once as X1 and once as X2), so a scalar factor
+multiplies both sides alike.  Both sides are then polynomials in
 (u, v) of bidegree at most (D, D), D = deg A + deg X + deg B, and such a
 polynomial vanishes identically iff it vanishes on the integer grid
 {-floor(D/2) .. ceil(D/2)}^2 of (D+1)^2 points, where the engine evaluates
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class Report:
 
 
 def _zeros(*shape):
-    return np.full(shape, Fraction(0), dtype=object)
+    return np.zeros(shape, dtype=object)
 
 
 def _convolve(a, b, op=np.matmul):
@@ -140,18 +140,20 @@ def _common_factor(den: Poly, F, width) -> Poly:
 
 
 class OperatorMatrix:
-    """The operator-valued matrix s_ij(u) = (sum_p blocks[(i, j)][p] u^p) / den(u),
-    i, j in `labels`, each blocks[(i, j)][p] a dim x dim rational array.
+    """The operator-valued matrix s_ij(u) = (sum_p blocks[(i, j)][p] u^p) / (scale den(u)),
+    i, j in `labels`, each blocks[(i, j)][p] a dim x dim rational or integer
+    array, scale a positive integer.
 
     This is the one storage of the S-, T- and B-matrices of modules.  The
     constructor makes it canonical: den is monic, gcd(den, every numerator
-    entry) = 1, every block has one slot past the top nonzero slot of all
-    blocks, and no stored block is all zero.  Hence den is the lcm of the
+    entry) = 1, every numerator entry is a Python int over the least such
+    scale, every block has one slot past the top nonzero slot of all blocks,
+    and no stored block is all zero.  Hence den is the lcm of the
     denominators of the reduced entries, and two operator matrices are equal
-    iff their dens and blocks are.
+    iff their dens, scales and blocks are.
     """
 
-    def __init__(self, labels, family, dim, den: Poly, blocks: dict):
+    def __init__(self, labels, family, dim, den: Poly, blocks: dict, scale=1):
         self.labels = list(labels)
         self.family = family
         self.dim = dim
@@ -163,10 +165,16 @@ class OperatorMatrix:
         g = _common_factor(den, F, dd)
         if g.degree > 0:
             den, F = den // g, _division_maps(g, slots)[0] @ F
-        if den.lead != 1:
-            den, F = den.monic(), F * (1 / den.lead)
+        if den.lead != 1:  # lead p/q: q F over p scale and the monic den
+            p, q = den.lead.numerator, den.lead.denominator
+            den, F, scale = den.monic(), F * (q if p > 0 else -q), scale * abs(p)
+        flat = F.ravel().tolist()  # to Python ints over the least scale
+        L = lcm(*(x.denominator for x in flat if x))
+        flat = [x.numerator * (L // x.denominator) if x else 0 for x in flat]
+        c = gcd(L * scale, *flat)
+        F = np.array([x // c for x in flat], dtype=object).reshape(F.shape)
         top = max((p for p in range(len(F)) if any(F[p])), default=0)
-        self.den = den
+        self.den, self.scale = den, L * scale // c
         self.blocks = {k: F[: top + 1, t * dd: (t + 1) * dd].reshape(top + 1, dim, dim)
                        for t, k in enumerate(keys)}
 
@@ -220,22 +228,25 @@ class OperatorMatrix:
         for r in range(self.dim if b is not None else 0):
             for c in range(self.dim):
                 if any(b[:, r, c]):
-                    out[r, c] = RatFunc(Poly(b[:, r, c]), self.den)
+                    out[r, c] = RatFunc(Poly._of(b[:, r, c], self.scale), self.den)
         return out
 
     def substitute(self, a, b) -> "OperatorMatrix":
-        """s_ij(a u + b), a != 0: one linear map on the coefficient axis."""
+        """s_ij(a u + b), a != 0: one integer linear map on the coefficient
+        axis, a and b over one denominator e and the blocks times e^(n-1)."""
         a, b, n = Fraction(a), Fraction(b), self.slots
+        e = lcm(a.denominator, b.denominator)
+        ae, be = int(a * e), int(b * e)
         M = _zeros(n, n)
         for p in range(n):
             for q in range(p + 1):
-                M[q, p] = comb(p, q) * a**q * b ** (p - q)
+                M[q, p] = comb(p, q) * ae**q * be ** (p - q) * e ** (n - 1 - p)
         blocks = {k: (M @ c.reshape(n, -1)).reshape(c.shape) for k, c in self.blocks.items()}
         return OperatorMatrix(self.labels, self.family, self.dim,
-                              self.den.compose_affine(a, b), blocks)
+                              self.den.compose_affine(a, b), blocks, self.scale * e ** (n - 1))
 
     def coeffs(self):
-        """The numerators as one array c[p, i, j, r, s] (label positions i, j)."""
+        """The integer numerators as one array c[p, i, j, r, s] (label positions i, j)."""
         pos = {l: k for k, l in enumerate(self.labels)}
         n, d = len(self.labels), self.dim
         out = _zeros(self.slots, n, n, d, d)
@@ -247,17 +258,6 @@ class OperatorMatrix:
 # ---------------------------------------------------------------------------
 # the identity engine
 # ---------------------------------------------------------------------------
-
-
-def _integral(c):
-    """(c scaled by the lcm of its denominators, as Python ints, with trailing
-    zero coefficients (axis 0) dropped; that lcm)."""
-    flat = c.ravel().tolist()
-    scale = lcm(*(x.denominator for x in flat if x))
-    out = np.array([x.numerator * (scale // x.denominator) if x else 0 for x in flat],
-                   dtype=object).reshape(c.shape)
-    top = max((p for p in range(len(out)) if any(out[p].flat)), default=0)
-    return out[: top + 1], scale
 
 
 def _arithmetic(bound):
@@ -291,7 +291,8 @@ def check_relation(name, labels, A, X, B=None, entry_labels=None) -> Report:
     A, X and B are coefficient arrays c[p, i, j, r, s] of polynomials in
     their argument, i, j positions in `labels`: for X the (r, s) entry of
     x_ij, for the two-leg factors A, B the ((i, r), (j, s)) entry on
-    C^N (x) C^N.  Entries are rational.  A witness is
+    C^N (x) C^N.  Entries are integers (a factor's scale, on both sides,
+    changes no verdict).  A witness is
     (key, (u0, v0)) with the first grid point where the entry fails: the
     key is (i, j, k, l) for the block of E_ij (x) E_kl, or, when
     `entry_labels` names the basis of V, the entry (row, col) of
@@ -299,11 +300,10 @@ def check_relation(name, labels, A, X, B=None, entry_labels=None) -> Report:
     """
     rep = Report(name)
     N = len(labels)
-    x, _ = _integral(X)
-    d = x.shape[-1]
-    x = x.transpose(0, 1, 3, 2, 4).reshape(-1, N * d, N * d)  # rows (i, r)
+    d = X.shape[-1]
+    x = X.transpose(0, 1, 3, 2, 4).reshape(-1, N * d, N * d)  # rows (i, r)
     a, b = (None if F is None else
-            _integral(F)[0].transpose(0, 1, 3, 2, 4).reshape(-1, N * N, N * N)  # rows (i, k)
+            F.transpose(0, 1, 3, 2, 4).reshape(-1, N * N, N * N)  # rows (i, k)
             for F in (A, B))
     D = len(x) + len(a) - 2 + (0 if b is None else len(b) - 1)
     lo, hi = -(D // 2), (D + 1) // 2
@@ -387,11 +387,12 @@ def _two_leg_basis(labels, family):
     return I, P, Q
 
 
-def _r_kappa(op: OperatorMatrix, kappa):
-    """u (u - kappa) R(u), R(u) = 1 - P/u + Q/(u - kappa)."""
-    I, P, Q = _two_leg_basis(op.labels, op.family)
+def _r_kappa(labels, family, kappa):
+    """q u (u - kappa) R(u), R(u) = 1 - P/u + Q/(u - kappa), kappa = p/q."""
+    I, P, Q = _two_leg_basis(labels, family)
     ka = Fraction(kappa)
-    return np.stack([ka * P, -ka * I - P + Q, I])
+    p, q = ka.numerator, ka.denominator
+    return np.stack([p * P, -p * I - q * P + q * Q, q * I])
 
 
 def _r_gl(op: OperatorMatrix):
@@ -401,12 +402,13 @@ def _r_gl(op: OperatorMatrix):
 
 
 def check_twisted_commutators(op: OperatorMatrix, kappa) -> Report:
-    r = _r_kappa(op, kappa)
+    r = _r_kappa(op.labels, op.family, kappa)
     return check_relation("reflection-commutators", op.labels, r, op.coeffs(), r)
 
 
 def check_rtt_commutators(op: OperatorMatrix, kappa) -> Report:
-    return check_relation("rtt-commutators", op.labels, _r_kappa(op, kappa), op.coeffs())
+    r = _r_kappa(op.labels, op.family, kappa)
+    return check_relation("rtt-commutators", op.labels, r, op.coeffs())
 
 
 def check_olshanskii_commutators(op: OperatorMatrix) -> Report:
@@ -431,7 +433,7 @@ def _symmetry_report(name, op: OperatorMatrix, kappa, sign_refl, sign_pm, trace_
     [+ (Tr G(u) s_ij(k-u) - delta_ij sum_k s_kk(u))/(2u-2k) when trace_g = Tr G],
     decided by evaluation; one witness ((i, j), ...) per failing block (i, j).
 
-    With S = x/den, x scaled to integers, the relation times den(u) den(k-u)
+    With S = x/(scale den), x integer, the relation times den(u) den(k-u)
     (2u-k) [(2u-2k) den Tr G(u)] reads sum_t p_t(u) C_t(u) = 0, each C_t one
     of x(u), its flip theta_ij x_{-j,-i}(u), its trace part delta_ij
     sum_k x_kk(u) and x(k-u), each p_t a scalar polynomial.  That matrix
@@ -447,7 +449,7 @@ def _symmetry_report(name, op: OperatorMatrix, kappa, sign_refl, sign_pm, trace_
     rep = Report(name)
     ka = Fraction(kappa)
     P, Q = ka.numerator, ka.denominator
-    x, _ = _integral(op.coeffs())
+    x = op.coeffs()
     labs, den, n = op.labels, op.den, len(x)
     N, d = len(labs), op.dim
     tn, td = (Poly(), P_ONE) if trace_g is None else (trace_g.num, trace_g.den)
@@ -515,7 +517,7 @@ def scalar_product_with_reflected(op: OperatorMatrix):
     diagonal block of S(u) S(-u) is not a scalar, and otherwise the scalar of
     the first label.
 
-    With S = num/den and num scaled to integers by L, num(u) num(-u) is a
+    With S = num/(L den), num integer and L = scale, num(u) num(-u) is a
     matrix polynomial of degree at most D = 2 (slots - 1), so it is decided
     by its values on the D + 1 integer points -D/2 .. D/2.  The squared
     row-sum norm of num on the grid bounds every entry and partial sum of the
@@ -530,9 +532,8 @@ def scalar_product_with_reflected(op: OperatorMatrix):
     """
     rep = Report("unitary-scalar")
     labels, N = op.labels, len(op.labels)
-    x, scale = _integral(op.coeffs())
-    m = op.dim
-    x = x.transpose(0, 1, 3, 2, 4).reshape(-1, N * m, N * m)  # rows (i, r)
+    m, scale = op.dim, op.scale
+    x = op.coeffs().transpose(0, 1, 3, 2, 4).reshape(-1, N * m, N * m)  # rows (i, r)
     D = 2 * (len(x) - 1)
     grid = range(-(D // 2), D // 2 + 1)
     bound = _norm(x, D // 2) ** 2

@@ -323,11 +323,13 @@ def _c0_certificate():
     return serialize.certificate_json(Certificate(pair("C0", 2), [Poly((1,))]))
 
 
-def _x_module():
+def _x_module(N=2, family="symplectic", as_family=None):
     from twyang import serialize
     from twyang.reps import vector_eval_x
 
-    return serialize.module_json(vector_eval_x(2, "symplectic", 0))
+    data = serialize.module_json(vector_eval_x(N, family, 0))
+    data["family"] = as_family or family
+    return data
 
 
 # (file contents, command, message on stderr): a readable file of the wrong
@@ -340,6 +342,11 @@ WRONG_INPUT = {
                               "restrictions act on twisted module files"),
     "x-module-restrict": (_x_module, ["build", "restrict", "--op", "vplus"],
                           "restrictions act on twisted module files"),
+    # an X-module over an (N, family) that g_N does not have
+    "x-module-odd-symplectic": (lambda: _x_module(3, "orthogonal", "symplectic"),
+                                ["verify", "module"], "symplectic requires even N"),
+    "x-module-small-orthogonal": (lambda: _x_module(2, "symplectic", "orthogonal"),
+                                  ["verify", "module"], "orthogonal requires N >= 3"),
     **{f"{name}-{cmd[0]}": (lambda v=value: v, cmd, "unrecognized file schema")
        for name, value in (("string-entries", "entries"), ("list-entries", ["entries"]),
                            ("list-P", ["P"]), ("number", 7))

@@ -236,6 +236,15 @@ def test_linear_solve_cramer_cross_check():
     assert sol == [(e * d - b * f) / det, (a * f - e * c) / det]
 
 
+def test_linear_algebra_is_exact_on_int_input():
+    from twyang.linalg import kernel_basis, solve
+
+    assert kernel_basis([[2, 1]]) == [[Fraction(-1, 2), Fraction(1)]]
+    assert all(type(x) is Fraction for x in kernel_basis([[2, 1]])[0])
+    sol, ker = solve([[3]], [1])
+    assert sol == [Fraction(1, 3)] and type(sol[0]) is Fraction and ker == []
+
+
 def test_linear_solve_inconsistent_marker():
     from twyang.linalg import solve
 

@@ -188,14 +188,14 @@ BRIDGE_SO3_OF_SP2 = {
 @pytest.mark.parametrize("mu", [-1, -2])
 def test_bridge_so3_of_rational_module_is_rational(mu):
     b = bridge_so3(olshanskii_eval(-1, sp2_module(mu)))
-    assert all(type(x) is Fraction for c in b.op.blocks.values() for x in c.flat)
+    assert all(type(x) is int for c in b.op.blocks.values() for x in c.flat)
     assert all(type(x) is Fraction for x in b.op.den.coeffs)
     assert verify_twisted(b).passed
     assert highest_weight_extract(b).weights == BRIDGE_SO3_OF_SP2[mu]
     blocks = dict(b.op.blocks)
     blocks[(1, 1)] = blocks[(1, 1)].copy()
     blocks[(1, 1)][0, 0, 0] += 1
-    bad = OperatorMatrix(b.op.labels, b.op.family, b.dim, b.op.den, blocks)
+    bad = OperatorMatrix(b.op.labels, b.op.family, b.dim, b.op.den, blocks, b.op.scale)
     assert not verify_twisted(TwistedModule(b.pair, bad)).passed
 
 

@@ -3,11 +3,13 @@ the canonical cleared form, and the per-entry JSON format round-trips it."""
 
 import json
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 
 from twyang import serialize
-from twyang.exact import Poly
+from twyang.exact import P_ONE, Poly, RatFunc, poly
 from twyang.liealg import so2_char, sp2_module, sp2_on_so3
 from twyang.reps import (
     bridge_so3,
@@ -24,6 +26,8 @@ from twyang.reps import (
     vector_eval_x,
 )
 from twyang.rkmat import pair
+from twyang.tensors import IndexSet, theta
+from twyang.verify import OperatorMatrix
 
 
 def _tensor():
@@ -60,10 +64,18 @@ KINDS = {
 JSON_KINDS = [k for k in KINDS if k not in ("olshanskii", "v-j")]
 
 
+def _same_storage(a, b):
+    return (a.den == b.den and a.scale == b.scale and a.blocks.keys() == b.blocks.keys()
+            and all(np.array_equal(a.blocks[k], b.blocks[k]) for k in a.blocks))
+
+
 @pytest.mark.parametrize("build", KINDS.values(), ids=KINDS.keys())
 def test_storage_is_canonical(build):
     op = build().op
     assert op.den.lead == 1
+    assert type(op.scale) is int and op.scale >= 1
+    assert all(type(x) is int for b in op.blocks.values() for x in b.flat)
+    assert gcd(op.scale, *(x for b in op.blocks.values() for x in b.flat)) == 1
     g = op.den
     for b in op.blocks.values():
         assert any(b.flat)
@@ -73,6 +85,38 @@ def test_storage_is_canonical(build):
                 g = g.gcd(Poly(b[:, r, c]))
     assert g.degree == 0
     assert any(any(b[-1].flat) for b in op.blocks.values())
+    assert _same_storage(op.substitute(2, 1).substitute(Fraction(1, 2), Fraction(-1, 2)), op)
+
+
+def _vector_eval_x_oracle(N, family, a):
+    """T(u) = R(u - a) on C^N entry by entry: t_ij = delta_ij - E_ji/(u - a)
+    + theta_ij E_{-i,-j}/(u - a - kappa), through `from_terms`."""
+    a = Fraction(a)
+    kappa = Fraction(N, 2) + (1 if family == "symplectic" else -1)
+    labs = IndexSet.for_N(N).labels()
+    pos = {l: k for k, l in enumerate(labs)}
+    inv1 = RatFunc(P_ONE, poly(-a, 1))
+    inv2 = RatFunc(P_ONE, poly(-a - kappa, 1))
+
+    def unit(r, c):
+        m = np.zeros((N, N), dtype=object)
+        m[pos[r], pos[c]] = Fraction(1)
+        return m
+
+    terms = {}
+    for i in labs:
+        for j in labs:
+            terms[(i, j)] = ([(RatFunc.of(1), np.eye(N, dtype=object))] if i == j else []) + [
+                (-inv1, unit(j, i)), (theta(family, i, j) * inv2, unit(-i, -j))]
+    return OperatorMatrix.from_terms(labs, family, N, terms)
+
+
+@pytest.mark.parametrize("family,N", [("symplectic", 2), ("symplectic", 4), ("symplectic", 6),
+                                      ("orthogonal", 3), ("orthogonal", 4),
+                                      ("orthogonal", 5), ("orthogonal", 6)])
+def test_vector_module_matches_entrywise_oracle(family, N):
+    for a in (0, Fraction(1, 2), -3):
+        assert _same_storage(vector_eval_x(N, family, a).op, _vector_eval_x_oracle(N, family, a))
 
 
 @pytest.mark.parametrize("kind", JSON_KINDS)

@@ -227,7 +227,8 @@ def _oracle_symmetry(op, kappa, sign_refl, sign_pm, trace_g=None):
     it is zero)."""
     ka = Fraction(kappa)
     refl = op.substitute(-1, ka)
-    c, cr, den, denr = op.coeffs(), refl.coeffs(), op.den, refl.den
+    c, cr = (m.coeffs() * Fraction(1, m.scale) for m in (op, refl))
+    den, denr = op.den, refl.den
     a = poly(-ka, 2)
     b = P_ONE if trace_g is None else poly(-2 * ka, 2) * trace_g.den
     labs = op.labels
@@ -250,21 +251,21 @@ def _oracle_symmetry(op, kappa, sign_refl, sign_pm, trace_g=None):
 
 
 def _perturb(op, slot, delta=Fraction(1, 3)):
-    """delta added to the u^slot numerator coefficient of entry (0, 0) of the
-    first stored block, the block padded to op.slots."""
+    """delta added to the u^slot coefficient of the numerator over den of
+    entry (0, 0) of the first stored block, the block padded to op.slots."""
     key = sorted(op.blocks)[0]
     blocks = dict(op.blocks)
-    b = np.full((op.slots,) + blocks[key].shape[1:], Fraction(0), dtype=object)
+    b = np.zeros((op.slots,) + blocks[key].shape[1:], dtype=object)
     b[: len(blocks[key])] = blocks[key]
-    b[slot, 0, 0] += delta
+    b[slot, 0, 0] += delta * op.scale
     blocks[key] = b
-    return OperatorMatrix(op.labels, op.family, op.dim, op.den, blocks)
+    return OperatorMatrix(op.labels, op.family, op.dim, op.den, blocks, op.scale)
 
 
 def _perturb_den(op):
     """The same numerators over den(u) (u - 5/2)."""
     return OperatorMatrix(op.labels, op.family, op.dim, op.den * poly(Fraction(-5, 2), 1),
-                          op.blocks)
+                          op.blocks, op.scale)
 
 
 def _symmetry_cases():
