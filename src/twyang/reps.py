@@ -35,6 +35,7 @@ from .tensors import ORTHOGONAL, SYMPLECTIC, IndexSet, theta
 from .verify import (
     OperatorMatrix,
     _convolve,
+    _kron,
     _r_kappa,
     _symmetry_report,
     check_mr_commutators,
@@ -418,7 +419,7 @@ def bridge_so4(variant: str, mp: OlshanskiiModule, mm: OlshanskiiModule) -> Twis
             if e1 is None or e2 is None:
                 continue
             w = sgn[i] * sgn[j] * (K2x2[(c, c)] if use_k else 1)
-            blocks[(i, j)] = w * _convolve(e1, e2, np.kron)
+            blocks[(i, j)] = w * _convolve(e1, e2, _kron)
     op = OperatorMatrix(pt.labels(), pt.family, mp.dim * mm.dim, sp.den * sm.den, blocks,
                         sp.scale * sm.scale)
     return TwistedModule(
@@ -477,7 +478,7 @@ def tensor_twisted(x: XModule, v: TwistedModule) -> TwistedModule:
                     sv = v.op.blocks.get((a, b))
                     if e2 is None or sv is None:
                         continue
-                    mat = theta(pt.family, j, b) * _convolve(_convolve(e1, e2), sv, np.kron)
+                    mat = theta(pt.family, j, b) * _convolve(_convolve(e1, e2), sv, _kron)
                     acc = mat if acc is None else acc + mat
             if acc is not None:
                 blocks[(i, j)] = acc

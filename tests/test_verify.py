@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from test_acceptance import all_modules_for_criterion_4
+from twyang import rkmat, verify
 from twyang.exact import P_ONE, RatFunc, poly
 from twyang.liealg import so2_char, sp2_module, sp2_on_so3
 from twyang.reps import (
@@ -19,6 +20,7 @@ from twyang.reps import (
     restrict_v_plus,
     tensor_twisted,
     vector_eval_x,
+    verify_twisted,
 )
 from twyang.rkmat import _operator as rkmat_operator
 from twyang.rkmat import (
@@ -28,6 +30,7 @@ from twyang.rkmat import (
     check_symmetry,
     check_twisted_reflection,
     check_unitarity,
+    check_yang_baxter,
     g_matrix,
     k_one_param,
     pair,
@@ -39,10 +42,15 @@ from twyang.rkmat import (
 from twyang.tensors import LabeledMatrix, ORTHOGONAL, theta
 from twyang.verify import (
     OperatorMatrix,
+    _arithmetic,
     _convolve,
+    _norm,
+    _r_kappa,
     _symmetry_report,
+    _witness_key,
     check_mr_commutators,
     check_olshanskii_commutators,
+    check_relation,
     check_rtt_commutators,
     check_twisted_commutators,
     scalar_product_with_reflected,
@@ -390,18 +398,256 @@ def test_int64_tier_keeps_a_perturbation_below_float64_resolution():
     assert rep.witnesses == [((1, 1), -1, "scalar differs")]
 
 
-def test_suites_run_in_float64():
-    # the R-matrix suites up to N = 6 (YBE operator_dim 216) and the K suite
-    # of every pair up to N = 6 stay below 2^53 in every engine sub-report, so
-    # they take the float64 (BLAS) path
+@pytest.fixture(scope="module")
+def engine_reports():
+    """(report name, sub-report name, details) of every engine sub-report of
+    the R-matrix suites up to N = 6 (YBE operator_dim 216) and the K suite of
+    every pair up to N = 6."""
     reports = [verify_r_matrix(N, fam) for fam, Ns in (("gl", range(2, 7)),
                                                         (ORTHOGONAL, range(3, 7)),
                                                         ("symplectic", (2, 4, 6)))
                for N in Ns]
     reports += [verify_k_matrix(pt) for pt in all_supported_pairs(6)]
-    engine = [(rep.name, name, d) for rep in reports for name, d in rep.details.items()
-              if isinstance(d, dict) and "grid_points" in d]
-    assert len(engine) >= 2 * 12 + 2 * len(all_supported_pairs(6))
-    for rep_name, name, d in engine:
+    return [(rep.name, name, d) for rep in reports for name, d in rep.details.items()
+            if isinstance(d, dict) and "grid_points" in d]
+
+
+def test_suites_run_in_float64(engine_reports):
+    # every engine sub-report of these suites stays below 2^53, so they take
+    # the float64 (BLAS) path
+    assert len(engine_reports) >= 2 * 12 + 2 * len(all_supported_pairs(6))
+    for rep_name, name, d in engine_reports:
         assert d["arithmetic"] == "float64" and d["bound_bits"] <= 53, (rep_name, name)
-    assert max(d["operator_dim"] for _, name, d in engine if name == "yang-baxter") == 216
+    assert max(d["operator_dim"] for _, name, d in engine_reports if name == "yang-baxter") == 216
+
+
+def test_batches_stay_under_the_cap(engine_reports):
+    # every batched temporary of check_relation has at most _BATCH_ENTRIES
+    # entries, unless one grid point alone has more
+    m = tensor_twisted(vector_eval_x(3, ORTHOGONAL, 0), onedim_module(pair("B0", 3)))
+    twisted = verify_twisted(m).details["reflection-commutators"]
+    relations = [d for _, name, d in engine_reports if "batch_points" in d] + [twisted]
+    assert len(relations) == 12 + len(all_supported_pairs(6)) + 1
+    for d in relations:
+        n = d["operator_dim"]
+        assert 1 <= d["batch_points"] <= d["grid_points"]
+        assert d["batch_points"] * n * n <= verify._BATCH_ENTRIES or d["batch_points"] == 1
+    assert {d["batch_points"] == 1 for d in relations} == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the batched grid evaluation against the per-point loop
+# ---------------------------------------------------------------------------
+
+
+def _at(c, w):
+    acc = c[-1]
+    for p in range(len(c) - 2, -1, -1):
+        acc = acc * w + c[p]
+    return acc
+
+
+def _relation_oracle(name, labels, A, X, B=None, entry_labels=None):
+    """check_relation one grid point at a time, u0 outer and v0 inner, with
+    I_N (x) X(v0) and A (x) I_d formed by np.kron: the Report without
+    batch_points."""
+    rep = verify.Report(name)
+    N = len(labels)
+    d = X.shape[-1]
+    x = X.transpose(0, 1, 3, 2, 4).reshape(-1, N * d, N * d)
+    a, b = (None if F is None else F.transpose(0, 1, 3, 2, 4).reshape(-1, N * N, N * N)
+            for F in (A, B))
+    D = len(x) + len(a) - 2 + (0 if b is None else len(b) - 1)
+    lo, hi = -(D // 2), (D + 1) // 2
+    grid = range(lo, hi + 1)
+    bound = 2 * _norm(x, hi) ** 2 * _norm(a, D) * (1 if b is None else _norm(b, 2 * hi))
+    dtype, label = _arithmetic(bound)
+    x, a = x.astype(dtype), a.astype(dtype)
+    if b is not None:
+        b = b.astype(dtype)
+    n = N * N * d
+    rep.details.update(degree_bound=D, grid_points=len(grid) ** 2, operator_dim=n,
+                       arithmetic=label, bound_bits=bound.bit_length())
+
+    def two_leg(F, M):
+        return (F @ M.reshape(N * N, d * n)).reshape(n, n)
+
+    def leg1(Xm, M):
+        M = M.reshape(N, N, d, n).transpose(1, 0, 2, 3).reshape(N, N * d, n)
+        return (Xm @ M).reshape(N, N, d, n).transpose(1, 0, 2, 3).reshape(n, n)
+
+    def leg2(Xm, M):
+        return (Xm @ M.reshape(N, N * d, n)).reshape(n, n)
+
+    eye_n, eye_d = np.eye(N, dtype=dtype), np.eye(d, dtype=dtype)
+    found = {}
+    for u0 in grid:
+        for v0 in grid:
+            Am = _at(a, u0 - v0)
+            lhs = np.kron(eye_n, _at(x, v0))
+            rhs = leg1(_at(x, u0), np.kron(Am, eye_d))
+            if b is not None:
+                Bm = _at(b, u0 + v0)
+                lhs, rhs = two_leg(Bm, lhs), two_leg(Bm, rhs)
+            lhs = two_leg(Am, leg1(_at(x, u0), lhs))
+            rhs = leg2(_at(x, v0), rhs)
+            bad = (lhs != rhs).reshape(N, N, d, N, N, d)
+            if entry_labels is None:
+                bad = bad.any(axis=(2, 5))
+            for idx in zip(*np.nonzero(bad)):
+                found.setdefault(_witness_key(labels, entry_labels, idx), (u0, v0))
+    for key in sorted(found):
+        rep.fail((key, found[key]))
+    return rep
+
+
+def _relation_calls(run):
+    """The arguments of every check_relation call that run() makes."""
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append((args, kw))
+        return check_relation(*args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (verify, rkmat):
+            mp.setattr(mod, "check_relation", spy)
+        run()
+    return calls
+
+
+def _vanishing_first(op, run):
+    """op with (u - lo)/den added to entry (0, 0) of its first block, lo the
+    first grid value of run(op + u/den), so that the first grid point of the
+    relation sees no change."""
+    key = sorted(op.blocks)[0]
+    b = np.zeros((max(op.slots, 2),) + op.blocks[key].shape[1:], dtype=object)
+    b[: len(op.blocks[key])] = op.blocks[key]
+    b[1, 0, 0] += op.scale
+
+    def with_block(b):
+        return OperatorMatrix(op.labels, op.family, op.dim, op.den, {**op.blocks, key: b},
+                              op.scale)
+
+    lo = -(run(with_block(b)).details["degree_bound"] // 2)
+    b[0, 0, 0] -= lo * op.scale
+    return with_block(b)
+
+
+def _relation_cases():
+    """(label, args, kwargs) of check_relation calls: passing and failing YBE,
+    module commutators and reflection equations, in all three arithmetics."""
+    runs = [(f"YBE {fam} N={N}", lambda N=N, fam=fam: check_yang_baxter(r_matrix(N, fam)))
+            for fam, Ns in (("gl", (2, 3, 4)), (ORTHOGONAL, (3, 4)), ("symplectic", (2, 4)))
+            for N in Ns]
+    cases = []
+    for fam, N in ((ORTHOGONAL, 3), ("symplectic", 4)):  # kappa -> kappa + 1
+        labs = list(pair("B0" if fam == ORTHOGONAL else "C0", N).labels())
+        kappa = Fraction(N, 2) + (1 if fam == "symplectic" else -1)
+        r = _r_kappa(labs, fam, kappa + 1)
+        cases.append((f"YBE shifted kappa {fam} N={N}",
+                       ("yang-baxter", labs, r, r), {"entry_labels": [(l,) for l in labs]}))
+    x = vector_eval_x(3, ORTHOGONAL, Fraction(1, 2))
+    m = eval_so3(-1)
+    om = olshanskii_eval(-1, sp2_on_so3(Fraction(-1, 2)))
+    bm, _ = restrict_v_j(onedim_module(pair("C0", 4)))
+    for label, op, check in (
+            ("rtt", x.op, lambda op: check_rtt_commutators(op, x.kappa)),
+            ("twisted", m.op, lambda op: check_twisted_commutators(op, m.pair.kappa)),
+            ("olshanskii", om.op, check_olshanskii_commutators),
+            ("reflection-algebra", bm.op, check_mr_commutators)):
+        for how, variant in (("", op),
+                             (" perturbed", _perturbed(op, sorted(op.blocks)[-1], 0, 0, 1)),
+                             (" perturbed past (lo, lo)", _vanishing_first(op, check))):
+            runs.append((f"{label} commutators{how}", lambda op=variant, check=check: check(op)))
+    reflect, key, delta, tiers = _TIERS["reflection"]
+    for arithmetic, a in tiers.items():
+        K = k_one_param(_CI4, a)
+        runs.append((f"reflection {arithmetic}", lambda K=K: reflect(K)))
+        K = k_one_param(_CI4, a)
+        K.data[key] = K.data[key] + delta
+        runs.append((f"reflection perturbed {arithmetic}", lambda K=K: reflect(K)))
+    for label, run in runs:
+        cases += [(label, args, kw) for args, kw in _relation_calls(run)]
+    return cases
+
+
+def test_batched_relation_matches_per_point_oracle(monkeypatch):
+    # identical passed, witnesses (with their first failing point) and
+    # details, with the default cap, one point per batch and batches of
+    # G - 1 points, which end in mid-row
+    cases = _relation_cases()
+    tiers, past_first_batch = set(), 0
+    for label, args, kw in cases:
+        want = _relation_oracle(*args, **kw)
+        d = want.details
+        n, G = d["operator_dim"], d["degree_bound"] + 1
+        for cap in (verify._BATCH_ENTRIES, 1, n * n * (G - 1)):
+            with monkeypatch.context() as mp:
+                mp.setattr(verify, "_BATCH_ENTRIES", cap)
+                got = check_relation(*args, **kw)
+            batch = got.details.pop("batch_points")
+            assert batch == min(G * G, max(1, cap // (n * n))), label
+            assert (got.passed, got.witnesses, got.details) == \
+                (want.passed, want.witnesses, want.details), (label, cap)
+        assert want.passed == ("perturbed" not in label and "shifted" not in label), label
+        tiers.add(d["arithmetic"])
+        lo = -(d["degree_bound"] // 2)
+        past_first_batch += any((u0 - lo) * G + v0 - lo >= G - 1 for _, (u0, v0) in want.witnesses)
+    assert tiers == {"float64", "int64", "int"}
+    assert past_first_batch >= 3
+
+
+def _product_oracle(op):
+    """(w, report) of scalar_product_with_reflected one grid point at a time."""
+    rep = verify.Report("unitary-scalar")
+    labels, N, m = op.labels, len(op.labels), op.dim
+    x = op.coeffs().transpose(0, 1, 3, 2, 4).reshape(-1, N * m, N * m)
+    D = 2 * (len(x) - 1)
+    grid = range(-(D // 2), D // 2 + 1)
+    bound = _norm(x, D // 2) ** 2
+    dtype, label = _arithmetic(bound)
+    x = x.astype(dtype)
+    rep.details.update(degree_bound=D, grid_points=len(grid), operator_dim=N * m,
+                       arithmetic=label, bound_bits=bound.bit_length())
+    failed, ys, scalar = {}, [], True
+    for u0 in grid:
+        Z = (_at(x, u0) @ _at(x, -u0)).reshape(N, m, N, m).transpose(0, 2, 1, 3)
+        c = Z[0, 0, 0, 0]
+        for i in range(N):
+            for j in range(N):
+                if i != j and (Z[i, j] != 0).any():
+                    failed.setdefault((i, j), (u0, "nonzero"))
+            if not np.array_equal(Z[i, i], Z[i, i, 0, 0] * np.eye(m, dtype=dtype)):
+                failed.setdefault((i, i), (u0, "not scalar"))
+                scalar = False
+            elif Z[i, i, 0, 0] != c:
+                failed.setdefault((i, i), (u0, "scalar differs"))
+        ys.append(int(c))
+    for (i, j), (u0, what) in sorted(failed.items()):
+        rep.fail(((labels[i], labels[j]), u0, what))
+    if not scalar:
+        return None, rep
+    w = verify._interpolate(grid.start, ys) * Fraction(1, op.scale ** 2)
+    return RatFunc(w, op.den * op.den.compose_affine(-1, 0)), rep
+
+
+def test_batched_product_matches_per_point_oracle():
+    m = eval_so3(-1)
+    lo = -(m.op.slots - 1)  # a perturbation by u^2 - lo^2 leaves Z(+-lo) alone
+    ops = [m.op, _perturbed(m.op, (1, 1), 0, 0, 1), _perturbed(m.op, (1, 0), 0, 0, 1),
+           _perturb(_perturb(m.op, 2, 1), 0, -lo * lo),
+           rkmat_operator(g_matrix(pair("BIa", 5, 3, 2))), rkmat_operator(r_matrix(3, ORTHOGONAL))]
+    _, key, delta, tiers = _TIERS["unitary-scalar"]
+    for a in tiers.values():
+        K = k_one_param(_CI4, a)
+        ops.append(rkmat_operator(K))
+        K.data[key] = K.data[key] + delta
+        ops.append(rkmat_operator(K))
+    got = [scalar_product_with_reflected(op) for op in ops]
+    for (w, rep), (w0, want) in zip(got, map(_product_oracle, ops)):
+        assert w == w0 and (rep.passed, rep.witnesses, rep.details) == \
+            (want.passed, want.witnesses, want.details)
+    assert {rep.details["arithmetic"] for _, rep in got} == {"float64", "int64", "int"}
+    assert any(u0 != -(rep.details["degree_bound"] // 2)
+               for _, rep in got for _, u0, _ in rep.witnesses)
