@@ -2,15 +2,15 @@
 
 All conditions are stated through the tilde transform
 
-    tmu_i(u) = (2u - n + i) mu_i(u) + sum_{l > i} mu_l(u),
+    tmu_i(u) = (2u - n + i) mu_i(u) + sum_{l > i} mu_l(u).
 
-and decided by exact linear algebra on polynomial coefficients: the
-functional equation P(u+shift)/P(u) = ratio forces the degree of P through
-its top coefficients and is then one linear solve at that degree, and the
-scalar gamma is searched among the rational roots of the cleared numerator
-(plus kappa/2).  No polynomial factorization over extensions is
-ever attempted; when a rational answer cannot be certified the verdict is
-marked inconclusive rather than guessed.
+Every Drinfeld polynomial P_i is one row (i, ratio, shift, centre, kap) of a
+condition table: P_i(u+shift)/P_i(u) = ratio with P_i(u) = P_i(-u+centre),
+times (gamma-u)/(gamma+u-kap) for a scalar gamma when kap is set.
+`_conditions` writes a pair's table, `_decide` solves the rows in order by
+exact linear algebra (`solve_P`, `solve_P_gamma`) and `_worst` ranks the
+outcomes none > inconclusive > found.  Nothing is factored over extensions;
+when a rational answer cannot be certified the verdict is inconclusive.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .exact import (
 )
 from .linalg import rational_roots, solve
 from .rkmat import PairType, pair
-from .tensors import ORTHOGONAL, SYMPLECTIC
+from .tensors import SYMPLECTIC, kappa
 
 
 @dataclass
@@ -62,15 +62,18 @@ class TildeTuple:
     tmu: dict  # i -> RatFunc
 
 
-def tilde(wt: WeightTuple) -> TildeTuple:
-    n = wt.pair.n
+def _tilde(mu: dict, labels, n: int) -> dict:
     out = {}
-    for i in wt.pair.i_range:
-        acc = RatFunc(poly(-n + i, 2)) * wt.mu[i]
+    for i in labels:
+        acc = RatFunc(poly(-n + i, 2)) * mu[i]
         for l in range(i + 1, n + 1):
-            acc = acc + wt.mu[l]
+            acc = acc + mu[l]
         out[i] = acc
-    return TildeTuple(wt.pair, out)
+    return out
+
+
+def tilde(wt: WeightTuple) -> TildeTuple:
+    return TildeTuple(wt.pair, _tilde(wt.mu, wt.pair.i_range, wt.pair.n))
 
 
 def untilde(tt: TildeTuple) -> WeightTuple:
@@ -225,13 +228,10 @@ class Certificate:
         n = pt.n
         if len(self.P) != n:
             raise ValueError(f"expected {n} polynomials")
-        for i in range(2, n + 1):
-            c = Fraction(n - i + 2)
+        for i in [*range(2, n + 1), 1]:
+            c = p1_symmetry_center(pt) if i == 1 else Fraction(n - i + 2)
             if self.P[i - 1].compose_affine(-1, c) != self.P[i - 1]:
                 raise ValueError(f"P_{i} violates P(u) = P(-u+{c})")
-        c1 = p1_symmetry_center(pt)
-        if self.P[0].compose_affine(-1, c1) != self.P[0]:
-            raise ValueError(f"P_1 violates P(u) = P(-u+{c1})")
         if pt.tag in ("CI", "DIII"):
             if self.gamma is None:
                 raise ValueError("CI/DIII certificates carry a scalar gamma")
@@ -281,6 +281,57 @@ class Verdict:
 
 
 _FULL_TAGS = ("B0", "C0", "D0", "CI", "DIII")
+_RANK = (FOUND, INCONCLUSIVE, NONE)
+_ANSWER = {FOUND: "yes", INCONCLUSIVE: "inconclusive", NONE: "no"}
+
+
+def _chain(tt: dict, n: int, special=None, kap=None) -> list:
+    """Rows of P_2..P_n: P_i(u+1)/P_i(u) = tmu_{i-1}/tmu_i with centre
+    n - i + 2; the row i = special carries the gamma factor of kap."""
+    return [(i, tt[i - 1] / tt[i], 1, Fraction(n - i + 2), kap if i == special else None)
+            for i in range(2, n + 1)]
+
+
+def _p1_shift(N: int, family: str):
+    """(shift, j): P_1's ratio divides the top component by component j."""
+    if N % 2 == 1:
+        return Fraction(1, 2), 1
+    return (2, 1) if family == SYMPLECTIC else (1, 2)
+
+
+def _conditions(pt: PairType, tt: dict) -> list:
+    """The condition table (i, ratio, shift, centre, kap) of a pair.
+
+    BCD0, CI, DIII: P_2..P_n, then P_1 (with gamma for CI and DIII).  BIa,
+    BIb, CII, DIa: the necessary conditions on P_2..P_n; the one at
+    bold_k + 1 (none for BI with q = 1) carries gamma with kap = ell and
+    goes last."""
+    if pt.tag not in _FULL_TAGS:
+        special = None if pt.tag in ("BIa", "BIb") and pt.q == 1 else pt.bold_k + 1
+        rows = _chain(tt, pt.n, special, Fraction(pt.ell))
+        return sorted(rows, key=lambda row: row[4] is not None)
+    ka = pt.kappa
+    shift, j = _p1_shift(pt.N, pt.family)
+    top = tt[0] if pt.N % 2 == 1 else tt[1].substitute_affine(-1, ka)
+    ratio = top / tt[j]
+    if pt.tag in ("C0", "D0"):
+        ratio = ratio * RatFunc(poly(0, 1), poly(ka, -1))  # u / (kappa - u)
+    kap = ka if pt.tag in ("CI", "DIII") else None
+    return _chain(tt, pt.n) + [(1, ratio, shift, p1_symmetry_center(pt), kap)]
+
+
+def _decide(conds, deg_max: int):
+    """Yield (i, SolveResult) per row in order, lazily, so callers may stop early."""
+    for i, ratio, shift, centre, kap in conds:
+        if kap is None:
+            yield i, solve_P(ratio, shift, centre, deg_max)
+        else:
+            yield i, solve_P_gamma(ratio, shift, kap, centre, deg_max)
+
+
+def _worst(results) -> str:
+    """The worst status among the results: none > inconclusive > found."""
+    return max((r.status for r in results), key=_RANK.index, default=FOUND)
 
 
 def classify(wt: WeightTuple, deg_max: int = 16) -> Verdict:
@@ -294,99 +345,20 @@ def classify(wt: WeightTuple, deg_max: int = 16) -> Verdict:
     ok, wit = check_nontrivial(wt)
     if not ok:
         return Verdict(False, "no", diagnostics=wit)
-    tt = tilde(wt).tmu
-    n = pt.n
-    diag = []
-    polys = {}
-    inconclusive = False
-
-    def tail_indices():
-        return range(2, n + 1)
-
+    res = dict(_decide(_conditions(pt, tilde(wt).tmu), deg_max))
+    worst = _worst(res.values())
+    diag = [(i, r.detail) for i, r in res.items() if r.status != FOUND]
     if pt.tag in _FULL_TAGS:
-        failed = False
-        for i in tail_indices():
-            res = solve_P(tt[i - 1] / tt[i], 1, Fraction(n - i + 2), deg_max)
-            if res.status == FOUND:
-                polys[i] = res.P
-            elif res.status == INCONCLUSIVE:
-                inconclusive = True
-                diag.append((i, res.detail))
-            else:
-                failed = True
-                diag.append((i, res.detail))
-        ka = pt.kappa
-        c1 = p1_symmetry_center(pt)
-        if pt.tag == "B0":
-            res = solve_P(tt[0] / tt[1], Fraction(1, 2), c1, deg_max)
-        elif pt.tag in ("C0", "D0"):
-            shift = 2 if pt.tag == "C0" else 1
-            other = 1 if pt.tag == "C0" else 2
-            r = tt[1].substitute_affine(-1, ka) * RatFunc(poly(0, 1)) / (
-                tt[other] * RatFunc(poly(ka, -1))
-            )
-            res = solve_P(r, shift, c1, deg_max)
-        else:  # CI / DIII
-            shift = 2 if pt.tag == "CI" else 1
-            other = 1 if pt.tag == "CI" else 2
-            r = tt[1].substitute_affine(-1, ka) / tt[other]
-            res = solve_P_gamma(r, shift, ka, c1, deg_max)
-        if res.status == FOUND:
-            polys[1] = res.P
-        elif res.status == INCONCLUSIVE:
-            inconclusive = True
-            diag.append((1, res.detail))
-        else:
-            failed = True
-            diag.append((1, res.detail))
-        if failed:
-            return Verdict(True, "no", diagnostics=diag)
-        if inconclusive:
-            return Verdict(True, "inconclusive", diagnostics=diag)
-        cert = Certificate(
-            pt,
-            [polys[i] for i in range(1, n + 1)],
-            gamma=res.gamma if pt.tag in ("CI", "DIII") else None,
-        )
+        if worst != FOUND:
+            return Verdict(True, _ANSWER[worst], diagnostics=diag)
+        cert = Certificate(pt, [res[i].P for i in range(1, pt.n + 1)], res[1].gamma)
         return Verdict(True, "yes", certificate=cert, diagnostics=diag)
-
-    # necessary conditions only (BIa, BIb, CII, DIa)
-    k = pt.bold_k
-    necessary = True
-    if pt.tag in ("BIa", "BIb") and pt.q == 1:
-        idxs = list(tail_indices())
-        special = None
-    else:
-        idxs = [i for i in tail_indices() if i != k + 1]
-        special = k + 1
-    for i in idxs:
-        res = solve_P(tt[i - 1] / tt[i], 1, Fraction(n - i + 2), deg_max)
-        if res.status == FOUND:
-            polys[i] = res.P
-        elif res.status == INCONCLUSIVE:
-            inconclusive = True
-            diag.append((i, res.detail))
-        else:
-            necessary = False
-            diag.append((i, res.detail))
-    if special is not None and special >= 2:
-        res = solve_P_gamma(
-            tt[special - 1] / tt[special], 1, Fraction(pt.ell),
-            Fraction(n - special + 2), deg_max,
-        )
-        if res.status == FOUND:
-            polys[special] = res.P
-            diag.append((special, f"gamma = {res.gamma}"))
-        elif res.status == INCONCLUSIVE:
-            inconclusive = True
-            diag.append((special, res.detail))
-        else:
-            necessary = False
-            diag.append((special, res.detail))
-    if inconclusive and necessary:
+    # no certificate carries the gamma of a necessary-conditions row
+    diag += [(i, f"gamma = {r.gamma}") for i, r in res.items() if r.gamma is not None]
+    if worst == INCONCLUSIVE:
         return Verdict(True, "inconclusive", diagnostics=diag)
     return Verdict(
-        True, "necessary-conditions-only", necessary_pass=necessary, diagnostics=diag
+        True, "necessary-conditions-only", necessary_pass=worst == FOUND, diagnostics=diag
     )
 
 
@@ -395,22 +367,12 @@ def classify(wt: WeightTuple, deg_max: int = 16) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def mr_tilde(mu: dict, Nt: int) -> dict:
-    out = {}
-    for i in range(1, Nt + 1):
-        acc = RatFunc(poly(-Nt + i, 2)) * mu[i]
-        for l in range(i + 1, Nt + 1):
-            acc = acc + mu[l]
-        out[i] = acc
-    return out
-
-
 def check_mr(mu: dict, q_tilde: int, deg_max: int = 16):
     """Non-triviality and finite-dimensionality for a B(N~, q~)-type tuple.
 
     Returns a dict report with keys nontrivial, finite_dim, P, gamma."""
     Nt = max(mu)
-    tt = mr_tilde(mu, Nt)
+    tt = _tilde(mu, range(1, Nt + 1), Nt)
     witnesses = []
     if mu[Nt] * mu[Nt].substitute_affine(-1, 0) != RatFunc.of(1):
         witnesses.append((Nt, "mu_N(u) mu_N(-u) != 1"))
@@ -423,27 +385,13 @@ def check_mr(mu: dict, q_tilde: int, deg_max: int = 16):
     if witnesses:
         report["finite_dim"] = "no"
         return report
-    polys = {}
-    gamma = None
-    status = "yes"
-    p_tilde = Nt - q_tilde
-    for i in range(2, Nt + 1):
-        sym = Fraction(Nt - i + 2)
-        if 0 < q_tilde < Nt and i == p_tilde + 1:
-            res = solve_P_gamma(tt[i - 1] / tt[i], 1, Fraction(q_tilde), sym, deg_max)
-            gamma = res.gamma
-        else:
-            res = solve_P(tt[i - 1] / tt[i], 1, sym, deg_max)
-        if res.status == FOUND:
-            polys[i] = res.P
-        elif res.status == INCONCLUSIVE:
-            status = "inconclusive"
-        else:
-            status = "no"
-    report["finite_dim"] = status
-    if status == "yes":
-        report["P"] = [polys[i] for i in range(2, Nt + 1)]
-        report["gamma"] = gamma
+    special = Nt - q_tilde + 1 if 0 < q_tilde < Nt else None
+    res = dict(_decide(_chain(tt, Nt, special, Fraction(q_tilde)), deg_max))
+    worst = _worst(res.values())
+    report["finite_dim"] = _ANSWER[worst]
+    if worst == FOUND:
+        report["P"] = [r.P for r in res.values()]
+        report["gamma"] = None if special is None else res[special].gamma
     return report
 
 
@@ -495,7 +443,7 @@ def extend_lambda(partial: dict, N: int, family: str, nu: RatFunc | None = None,
 
     Even N needs the extra datum lambda_{-k} = nu."""
     n = N // 2
-    ka = Fraction(N, 2) + (1 if family == SYMPLECTIC else -1)
+    ka = kappa(N, family)
     lam = {i: RatFunc.of(partial[i]) for i in partial}
     for i in lam:
         if not lam[i].finite_at_infinity or lam[i].value_at_infinity() != 1:
@@ -529,21 +477,15 @@ def extend_lambda(partial: dict, N: int, family: str, nu: RatFunc | None = None,
 def xgn_fd_check(lam: dict, N: int, family: str, deg_max: int = 16):
     """Drinfeld polynomials of an X(g_N)-weight, or None where absent."""
     n = N // 2
+    shift, j = _p1_shift(N, family)
+    top = lam[0] if N % 2 == 1 else lam[-1]
+    conds = [(i, lam[i - 1] / lam[i], 1, None, None) for i in range(2, n + 1)]
+    conds.append((1, top / lam[j], shift, None, None))
     out = {}
-    for i in range(2, n + 1):
-        res = solve_P(lam[i - 1] / lam[i], 1, None, deg_max)
+    for i, res in _decide(conds, deg_max):
         if res.status != FOUND:
             return None
         out[i] = res.P
-    if N % 2 == 1:
-        res = solve_P(lam[0] / lam[1], Fraction(1, 2), None, deg_max)
-    elif family == SYMPLECTIC:
-        res = solve_P(lam[-1] / lam[1], 2, None, deg_max)
-    else:
-        res = solve_P(lam[-1] / lam[2], 1, None, deg_max)
-    if res.status != FOUND:
-        return None
-    out[1] = res.P
     return [out[i] for i in range(1, n + 1)]
 
 
@@ -561,11 +503,7 @@ def construct_from_cert(cert: Certificate, Q: list) -> WeightTuple:
     if len(Q) != n:
         raise ValueError(f"expected {n} polynomials Q_i")
     for i in range(1, n + 1):
-        c = Fraction(n - i + 2)
-        if i == 1:
-            c = p1_symmetry_center(pt) if pt.N % 2 == 1 else (
-                Fraction(n) if pt.family == ORTHOGONAL else Fraction(n + 3)
-            )
+        c = p1_symmetry_center(pt) if i == 1 else Fraction(n - i + 2)
         refl = Q[i - 1].compose_affine(-1, c)
         prod = Q[i - 1] * refl * Fraction((-1) ** Q[i - 1].degree)
         if prod != cert.P[i - 1]:

@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import serialize
 from .classify import WeightTuple, classify

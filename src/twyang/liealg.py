@@ -158,10 +158,6 @@ def so3_module(mu) -> LieModule:
     return LieModule("so3", d, Fm, {0: Fraction(0), 1: frac(mu)}, "orthogonal")
 
 
-def _kron(a, b):
-    return np.kron(a, b)
-
-
 def so4_module(mu1, mu2) -> LieModule:
     """so_4 module with (F_11, F_22)-values (mu1, mu2) on its top vector.
 
@@ -172,8 +168,8 @@ def so4_module(mu1, mu2) -> LieModule:
     da, Ha, Ea, Fa = _chain(mu1 + mu2, 2, 4)  # circle copy: F_11 + F_22 grading
     db, Hb, Eb, Fb = _chain(mu2 - mu1, 2, 4)  # bullet copy: F_22 - F_11 grading
     Ia, Ib = _eye(da), _eye(db)
-    Ho, Eo, Fo = _kron(Ha, Ib), _kron(Ea, Ib), _kron(Fa, Ib)
-    Hu, Eu, Fu = _kron(Ia, Hb), _kron(Ia, Eb), _kron(Ia, Fb)
+    Ho, Eo, Fo = np.kron(Ha, Ib), np.kron(Ea, Ib), np.kron(Fa, Ib)
+    Hu, Eu, Fu = np.kron(Ia, Hb), np.kron(Ia, Eb), np.kron(Ia, Fb)
     half = Fraction(1, 2)
     F11 = (Ho - Hu) * half
     F22 = (Ho + Hu) * half

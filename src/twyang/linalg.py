@@ -76,10 +76,6 @@ def solve(rows, rhs):
     return x, kernel_basis(rows)
 
 
-def rank(rows):
-    return len(rref(rows)[1])
-
-
 def intersect_kernels(list_of_matrices, dim):
     """Joint right kernel of a family of matrices acting on a dim-space."""
     stacked = []

@@ -18,6 +18,7 @@ from .tensors import (
     SYMPLECTIC,
     IndexSet,
     LabeledMatrix,
+    kappa,
     op_P,
     op_Q,
 )
@@ -102,7 +103,7 @@ class PairType:
     def kappa(self) -> Fraction:
         if self.tag == "AIII":
             raise ValueError("kappa is defined for the B-C-D families only")
-        return Fraction(self.N, 2) + (1 if self.family == SYMPLECTIC else -1)
+        return kappa(self.N, self.family)
 
     @property
     def sign_pm(self) -> int:
@@ -222,11 +223,10 @@ def r_matrix(N: int, family: str) -> LabeledMatrix:
         raise ValueError("symplectic requires even N")
     if family == ORTHOGONAL and N < 3:
         raise ValueError("orthogonal requires N >= 3")
-    kappa = Fraction(N, 2) + (1 if family == SYMPLECTIC else -1)
     labels = [(i, k) for i in IndexSet.for_N(N).labels() for k in IndexSet.for_N(N).labels()]
     out = LabeledMatrix.identity(labels, RatFunc.of(1))
     inv_u = RatFunc(P_ONE, poly(0, 1))
-    inv_uk = RatFunc(P_ONE, poly(-kappa, 1))
+    inv_uk = RatFunc(P_ONE, poly(-kappa(N, family), 1))
     out = out + op_P(N).map_values(lambda v: -v * inv_u)
     out = out + op_Q(N, family).map_values(lambda v: v * inv_uk)
     return out

@@ -1,4 +1,4 @@
-"""Signed indices, theta, and the labeled matrices R and K are built from.
+"""Signed indices, theta, kappa, and the labeled matrices R and K are built from.
 
 Rows and columns are labeled by the signed index set {-n..n} (0 present iff
 N is odd); multi-leg matrices carry tuples of signed indices.  Storage is a
@@ -51,6 +51,11 @@ def theta(family: str, i: int, j: int) -> int:
             return 1
         return sign(i) * sign(j)
     raise ValueError(f"unknown family {family!r}")
+
+
+def kappa(N: int, family: str) -> Fraction:
+    """kappa = N/2 - 1 for so_N and N/2 + 1 for sp_N."""
+    return Fraction(N, 2) + (1 if family == SYMPLECTIC else -1)
 
 
 def _as_label(x):

@@ -48,6 +48,7 @@ from twyang.reps import (
     unitary_scalar,
     vector_eval_x,
     verify_twisted,
+    verify_x,
 )
 from twyang.rkmat import (
     all_supported_pairs,
@@ -230,6 +231,7 @@ def test_criterion_07_tensor_and_restriction():
              (pair("DIII", 6), "orthogonal"), (pair("C0", 6), "symplectic")]
     for pt, fam in cases:
         x = vector_eval_x(pt.N, fam, 0)
+        assert verify_x(x).passed, str(pt)
         v = onedim_module(pt)
         tm = tensor_twisted(x, v)
         hw = highest_weight_extract(tm)
@@ -261,9 +263,10 @@ def test_criterion_07_tensor_and_restriction():
               onedim_module(pair("BIa", 5, 3, 2))]:
         bm, rep = restrict_v_j(m)
         assert rep.passed, m.provenance
-    _line(7, "tensor weights satisfy the product and restriction formulas "
-             "(N <= 6); V+ of the sp4/CI tensor verifies with the induction "
-             "weight; V^J satisfies the reflection-algebra relation", True)
+    _line(7, "vector modules satisfy RTT; tensor weights satisfy the product "
+             "and restriction formulas (N <= 6); V+ of the sp4/CI tensor "
+             "verifies with the induction weight; V^J satisfies the "
+             "reflection-algebra relation", True)
 
 
 def test_criterion_08_classification_round_trip():

@@ -1,10 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from twyang.classify import (
     Certificate,
+    SolveResult,
     TildeTuple,
     WeightTuple,
     check_mr,
@@ -434,6 +436,63 @@ def test_classify_necessary_only():
         assert v.necessary_pass is True
 
 
+# One weight per tag, verdict JSON captured before the condition-table
+# rewrite of classify; it pins the order and the text of the diagnostics:
+# the necessary-conditions gamma row (bold_k + 1) comes after the other rows,
+# also when it is not the last index (DIa N=8), and so does its "gamma = " line.
+# Weights are {i: (numerator, denominator)} with coefficients from u^0 up.
+PINNED_VERDICTS = [
+    (("B0", 3), {0: (("-35/64", "7/16", "-5/4", "1"), ("-3/64", "7/16", "-5/4", "1")),
+                 1: (("35/16", "-3", "1"), ("3/16", "-1", "1"))}, 16,
+     {"nontrivial": True, "finite_dim": "yes", "diagnostics": [],
+      "certificate": {"P": ["u^4 + -3*u^3 + 17/8*u^2 + 3/16*u + -35/256"], "gamma": None}}),
+    (("C0", 2), {1: (("1/3", "1"), ("0", "1"))}, 16,
+     {"nontrivial": True, "finite_dim": "no",
+      "diagnostics": ["(1, 'P would have degree -1/3, not an integer >= 2')"]}),
+    (("D0", 4), {1: (("3/4", "0", "1"), ("1/4", "-1", "1")), 2: (("-3/2", "1"), ("-1/2", "1"))}, 1,
+     {"nontrivial": True, "finite_dim": "inconclusive",
+      "diagnostics": ["(2, 'P would have degree 2 > deg_max = 1')"]}),
+    (("CI", 2), {1: (("2", "0", "1"), ("0", "0", "1"))}, 16,
+     {"nontrivial": True, "finite_dim": "inconclusive",
+      "diagnostics": ["(1, 'no rational gamma works and the cleared numerator has "
+                      "non-rational roots; a complex gamma cannot be excluded')"]}),
+    (("DIII", 4), {1: (("1", "1"), ("-1", "1")), 2: (("-2", "-1", "1"), ("0", "-1", "1"))}, 16,
+     {"nontrivial": True, "finite_dim": "yes", "diagnostics": [],
+      "certificate": {"P": ["1", "u^2 + -2*u"], "gamma": "2"}}),
+    (("BIa", 5, 3, 2), {0: (("1",), ("1",)), 1: (("1",), ("1",)),
+                        2: (("-1/4", "-1"), ("-1/4", "1"))}, 16,
+     {"nontrivial": True, "finite_dim": "necessary-conditions-only",
+      "diagnostics": ["(2, 'gamma = 5/4')"], "necessary_conditions_pass": True}),
+    (("BIb", 3, 2, 1), {0: (("-1/4", "-1"), ("-1/4", "1")), 1: (("1",), ("1",))}, 16,
+     {"nontrivial": True, "finite_dim": "necessary-conditions-only", "diagnostics": [],
+      "necessary_conditions_pass": True}),
+    (("CII", 8, 6, 2), {1: (("-6", "3/2", "-3/2", "1"), ("-6", "23/2", "-13/2", "1")),
+                        2: (("1",), ("1",)), 3: (("1",), ("1",)),
+                        4: (("-1", "-1"), ("-1", "1"))}, 4,
+     {"nontrivial": True, "finite_dim": "inconclusive",
+      "diagnostics": ["(2, 'P would have degree 5 > deg_max = 4')", "(4, 'gamma = 2')"]}),
+    (("DIa", 8, 4, 4), {1: (("-13/9", "61/18", "-35/9", "-5/6", "1"),
+                            ("14/9", "-13/2", "82/9", "-31/6", "1")),
+                        2: (("-13/9", "61/18", "-35/9", "-5/6", "1"),
+                            ("14/9", "-13/2", "82/9", "-31/6", "1")),
+                        3: (("-2/3", "1/6", "-1"), ("2/3", "-11/6", "1")),
+                        4: (("-1",), ("1",))}, 16,
+     {"nontrivial": True, "finite_dim": "necessary-conditions-only",
+      "diagnostics": ["(4, 'P would have degree 5/3, not an integer >= 1')",
+                      "(3, 'no admissible (P, gamma)')"], "necessary_conditions_pass": False}),
+]
+
+
+@pytest.mark.parametrize("args, mu, deg_max, expect", PINNED_VERDICTS,
+                         ids=[c[0][0] for c in PINNED_VERDICTS])
+def test_classify_verdict_json_is_pinned(args, mu, deg_max, expect):
+    def rat(coeffs):
+        return Poly([Fraction(c) for c in coeffs])
+
+    wt = WeightTuple(pair(*args), {i: RatFunc(rat(num), rat(den)) for i, (num, den) in mu.items()})
+    assert classify(wt, deg_max).as_dict() == expect
+
+
 def test_certificate_invariants():
     with pytest.raises(ValueError):
         Certificate(pair("CI", 2), [poly(-1, 1)])  # missing gamma
@@ -482,6 +541,33 @@ def test_check_mr_gamma_path():
     assert rep["nontrivial"], rep
     assert rep["finite_dim"] == "yes" and rep["gamma"] == gamma
     assert rep["P"] == [Poly((1,))]
+
+
+def test_none_outranks_a_later_inconclusive(monkeypatch):
+    # a row without P (i = 2) followed by an inconclusive row (i = 3) decides
+    # "no" in check_mr as in classify; every later row finds P = 1
+    cl = sys.modules[solve_P.__module__]
+    script = []
+
+    def scripted_solve_P(ratio, shift, sym_center=None, deg_max=16):
+        return script.pop(0) if script else SolveResult("found", P=Poly((1,)))
+
+    def run(call):
+        script[:] = [SolveResult("none", detail="no P"),
+                     SolveResult("inconclusive", detail="too large")]
+        out = call()
+        assert not script
+        return out
+
+    monkeypatch.setattr(cl, "solve_P", scripted_solve_P)
+    ones = {i: RatFunc.of(1) for i in (1, 2, 3)}
+    assert run(lambda: check_mr(ones, 0))["finite_dim"] == "no"
+    v = run(lambda: classify(WeightTuple(pair("D0", 6), dict(ones))))
+    assert v.finite_dim == "no" and v.diagnostics == [(2, "no P"), (3, "too large")]
+    pt = pair("BIb", 7, 6, 1)
+    v = run(lambda: classify(WeightTuple(pt, highest_weight_extract(onedim_module(pt)).weights)))
+    assert v.finite_dim == "necessary-conditions-only" and v.necessary_pass is False
+    assert v.diagnostics == [(2, "no P"), (3, "too large")]
 
 
 # ---------------------------------------------------------------------------
